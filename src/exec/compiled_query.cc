@@ -1,9 +1,11 @@
 #include "src/exec/compiled_query.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "src/exec/bound_expr.h"
+#include "src/exec/streaming.h"
 
 namespace tdp {
 namespace exec {
@@ -195,7 +197,7 @@ ExecContext CompiledQuery::MakeContext(const RunOptions& options,
   // inference. Non-trainable queries ignore the override.
   ctx.soft_mode = trainable_ && options.training_mode.value_or(true);
   ctx.params = options.params.empty() ? nullptr : &options.params;
-  ctx.exec = options.exec;
+  ctx.morsel_rows = options.morsel_rows;
   ctx.vector_search = options.vector_search;
   ctx.cancel = cancel;
   ctx.morsel_fault =
@@ -206,6 +208,15 @@ ExecContext CompiledQuery::MakeContext(const RunOptions& options,
   // member to null, but guard soft_mode explicitly for clarity.
   ctx.udf_dispatch = ctx.soft_mode ? nullptr : udf_dispatch_;
   ctx.model_batch_rows = options.model_batch_rows;
+  if (ctx.soft_mode) {
+    // Soft runs take the same pipelines as one whole-relation morsel each,
+    // with one direct forward per ModelEval stage: the autograd graph
+    // spans the full relation and the kernel sequence (hence the order in
+    // which weight gradients are summed) never depends on run options.
+    constexpr int64_t kWholeRelation = std::numeric_limits<int64_t>::max();
+    ctx.morsel_rows = kWholeRelation;
+    ctx.model_batch_rows = kWholeRelation;
+  }
   // The plan-lifetime primitive cache (fused filter+project programs,
   // reusable join build sides). Internally synchronized, so concurrent
   // runs of one shared CompiledQuery stay safe.
@@ -229,9 +240,9 @@ StatusOr<Chunk> CompiledQuery::RunChunkInternal(
     // whether the run completes, fails, or is cancelled mid-spill.
     QueryMemory memory(options.memory_budget_bytes);
     ctx.memory = &memory;
-    return ExecutePlan(*plan_, pipelines_, ctx);
+    return ExecutePlan(pipelines_, ctx);
   }
-  return ExecutePlan(*plan_, pipelines_, ctx);
+  return ExecutePlan(pipelines_, ctx);
 }
 
 StatusOr<Chunk> CompiledQuery::RunChunk(const RunOptions& options) const {

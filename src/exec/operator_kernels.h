@@ -30,19 +30,14 @@ StatusOr<std::vector<int64_t>> ColumnToCodes(const Column& column);
 StatusOr<std::vector<std::vector<int64_t>>> JoinRowKeys(
     const Chunk& chunk, const std::vector<int64_t>& cols);
 
-// Per-operator execution kernels, shared by the two executors in
-// `ExecutePlan`:
-//
-//   - the legacy materializing path (`ExecuteNode`) applies each kernel to
-//     the whole relation, one node at a time;
-//   - the morsel-driven streaming path (`ExecuteStreaming`) applies the
-//     order-preserving kernels (scan/filter/project/join-probe) to bounded
-//     row-range morsels and runs the breaker kernels (aggregate finalize,
-//     sort, distinct, TVF) on deterministically assembled streams.
-//
-// Because both paths execute the *same* kernels over the same row
-// sequences, their results are bit-identical at any thread count and
-// morsel size — the invariant the streaming parity suite asserts.
+// Per-operator execution kernels of the streaming executor
+// (`ExecutePlan`, streaming.h): the order-preserving kernels
+// (scan/filter/project/join-probe/ModelEval) run on bounded row-range
+// morsels, and the breaker kernels (aggregate finalize, sort, distinct,
+// TVF) run on deterministically assembled streams. Every streaming kernel
+// is row-local, so a run over N morsels is bit-identical to a run over
+// one whole-relation morsel of the same query — at any thread count and
+// morsel size. The streaming parity suite asserts this invariant.
 
 // ---- Streaming operators (order-preserving, morsel-safe) -------------------
 
@@ -62,11 +57,10 @@ StatusOr<Chunk> ExecuteProject(const plan::ProjectNode& node,
 /// (ctx.model_batch_rows overrides the node's compiled size when set),
 /// runs the wrapped operator's kernel per batch, and concatenates outputs
 /// in slice order. Because batchable bodies are row-local, the reassembled
-/// result is bit-identical to evaluating the whole morsel at once — and,
-/// transitively, to the whole-relation breaker path this stage replaced.
-/// Zero- and single-batch inputs take a direct single call (preserving the
-/// breaker path's empty-input semantics exactly). Polls `ctx.cancel`
-/// between batches.
+/// result is bit-identical to evaluating the whole morsel at once. Zero-
+/// and single-batch inputs take a direct single call (preserving the
+/// wrapped kernel's empty-input semantics exactly) — soft-mode runs always
+/// do. Polls `ctx.cancel` between batches.
 StatusOr<Chunk> ExecuteModelEval(const plan::ModelEvalNode& node,
                                  const Chunk& morsel, const ExecContext& ctx);
 
@@ -141,7 +135,9 @@ StatusOr<AggInputs> EvaluateAggInputs(const plan::AggregateNode& node,
 AggInputs MergeAggInputs(const std::vector<const AggInputs*>& parts);
 
 /// Groups, accumulates (fixed 4096-row blocks, block-order combine) and
-/// materializes the aggregate output columns.
+/// materializes the aggregate output columns. In soft mode, when every
+/// evaluated group key is PE-encoded, it runs the differentiable
+/// `SoftGroupByCount` instead (COUNT(*) only).
 StatusOr<Chunk> FinalizeAggregate(const plan::AggregateNode& node,
                                   const AggInputs& inputs,
                                   const ExecContext& ctx);
@@ -165,7 +161,7 @@ StatusOr<Chunk> ExecuteDistinct(const Chunk& input);
 StatusOr<Chunk> ExecuteIndexTopK(const plan::IndexTopKNode& node,
                                  const Chunk& input, const ExecContext& ctx);
 
-// ---- DDL / DML kernels (root breakers, both executors) ---------------------
+// ---- DDL / DML kernels (root breakers) -------------------------------------
 //
 // Each computes its write delta against the run's immutable snapshot
 // (`ctx.catalog`), installs it through `ctx.writer->ApplyDmlWrite` (or

@@ -11,7 +11,6 @@
 #include "src/common/string_util.h"
 #include "src/common/thread_pool.h"
 #include "src/exec/bound_expr.h"
-#include "src/exec/fused_filter_project.h"
 #include "src/exec/operator_kernels.h"
 #include "src/exec/primitive_cache.h"
 #include "src/exec/soft_ops.h"
@@ -25,11 +24,9 @@ namespace {
 using plan::AggDef;
 using plan::AggKind;
 using plan::AggregateNode;
-using plan::DistinctNode;
 using plan::FilterNode;
 using plan::JoinNode;
 using plan::LimitNode;
-using plan::LogicalNode;
 using plan::ProjectNode;
 using plan::ScanNode;
 using plan::SortNode;
@@ -354,9 +351,47 @@ AggInputs MergeAggInputs(const std::vector<const AggInputs*>& parts) {
   return out;
 }
 
+namespace {
+
+/// The soft (differentiable) group-by of §4: when a training-mode
+/// aggregate's group keys are all PE-encoded, each group's count is the
+/// expected row count under the keys' probabilities, so gradients flow
+/// from the counts back into the UDFs that produced the keys. Only
+/// COUNT(*) is differentiable this way.
+StatusOr<Chunk> SoftFinalizeAggregate(const AggregateNode& node,
+                                      const AggInputs& inputs) {
+  for (const AggDef& def : node.aggregates) {
+    if (def.kind != AggKind::kCountStar) {
+      return Status::Unimplemented(
+          "trainable aggregation over PE keys supports COUNT(*) only");
+    }
+  }
+  TDP_ASSIGN_OR_RETURN(SoftGroupByResult soft,
+                       SoftGroupByCount(inputs.key_columns));
+  Chunk out;
+  for (size_t g = 0; g < node.group_names.size(); ++g) {
+    out.names.push_back(node.group_names[g]);
+    out.columns.push_back(Column::Plain(soft.key_values[g]));
+  }
+  for (const AggDef& def : node.aggregates) {
+    out.names.push_back(def.name);
+    out.columns.push_back(Column::Plain(soft.counts));
+  }
+  return out;
+}
+
+}  // namespace
+
 StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
                                   const AggInputs& inputs,
                                   const ExecContext& ctx) {
+  if (ctx.soft_mode && !inputs.key_columns.empty() &&
+      std::all_of(inputs.key_columns.begin(), inputs.key_columns.end(),
+                  [](const Column& key) {
+                    return key.encoding() == Encoding::kProbability;
+                  })) {
+    return SoftFinalizeAggregate(node, inputs);
+  }
   const int64_t rows = inputs.rows;
 
   // Scratch this kernel materializes beyond the (caller-owned) evaluated
@@ -607,52 +642,6 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
   }
   return out;
 }
-
-namespace {
-
-StatusOr<Chunk> ExecuteAggregate(const AggregateNode& node,
-                                 const Chunk& input, const ExecContext& ctx) {
-  // Soft path: trainable mode + PE keys + COUNT(*) aggregates only.
-  if (ctx.soft_mode && !node.group_exprs.empty()) {
-    bool all_count_star = true;
-    for (const AggDef& def : node.aggregates) {
-      if (def.kind != AggKind::kCountStar) all_count_star = false;
-    }
-    // Probe the first key's encoding to decide; PE keys require soft.
-    bool keys_are_pe = true;
-    std::vector<Column> probe;
-    for (const auto& expr : node.group_exprs) {
-      TDP_ASSIGN_OR_RETURN(
-          Column key,
-          EvaluateExprToColumn(*expr, input, EvalOpts(ctx)));
-      if (key.encoding() != Encoding::kProbability) keys_are_pe = false;
-      probe.push_back(std::move(key));
-    }
-    if (keys_are_pe) {
-      if (!all_count_star) {
-        return Status::Unimplemented(
-            "trainable aggregation over PE keys supports COUNT(*) only");
-      }
-      TDP_ASSIGN_OR_RETURN(SoftGroupByResult soft, SoftGroupByCount(probe));
-      Chunk out;
-      for (size_t g = 0; g < node.group_names.size(); ++g) {
-        out.names.push_back(node.group_names[g]);
-        out.columns.push_back(Column::Plain(soft.key_values[g]));
-      }
-      for (const AggDef& def : node.aggregates) {
-        out.names.push_back(def.name);
-        out.columns.push_back(Column::Plain(soft.counts));
-      }
-      return out;
-    }
-    // Fall through to exact with already-evaluated keys discarded.
-  }
-
-  TDP_ASSIGN_OR_RETURN(AggInputs inputs, EvaluateAggInputs(node, input, ctx));
-  return FinalizeAggregate(node, inputs, ctx);
-}
-
-}  // namespace
 
 // ---- Join -------------------------------------------------------------------
 
@@ -1533,155 +1522,6 @@ StatusOr<Chunk> ExecuteDelete(const plan::DeleteNode& node,
   TDP_RETURN_NOT_OK(ctx.writer->ApplyDmlWrite(
       node.table_name, target, std::move(written), std::move(entries)));
   return RowsAffectedChunk(static_cast<int64_t>(sel.positions.size()));
-}
-
-// ---- Legacy whole-relation executor ----------------------------------------
-
-StatusOr<Chunk> ExecuteNode(const LogicalNode& node, const ExecContext& ctx) {
-  // The legacy path has no morsel boundaries; poll the cancellation token
-  // between operators instead.
-  TDP_RETURN_NOT_OK(CheckCancel(ctx));
-  switch (node.kind) {
-    case plan::NodeKind::kScan:
-      return ExecuteScan(static_cast<const ScanNode&>(node), ctx);
-    case plan::NodeKind::kTvfScan: {
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteTvfScan(static_cast<const TvfScanNode&>(node),
-                            std::move(input), ctx);
-    }
-    case plan::NodeKind::kFilter: {
-      const auto& filter = static_cast<const FilterNode&>(node);
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      // Fused fast path (filter-only program; when this node's parent is a
-      // Project, the kProject case below owns the fused pair and the
-      // cached program has has_project() set, so it is skipped here).
-      if (ctx.primitive_cache != nullptr && FusedEvalEnabled()) {
-        FusedProgramPtr program = ctx.primitive_cache->GetFused(
-            &node,
-            [&filter] { return FusedFilterProject::Compile(filter, nullptr); });
-        if (program != nullptr && !program->has_project()) {
-          std::optional<Chunk> fused = program->Execute(input, ctx);
-          if (fused.has_value()) return std::move(*fused);
-        }
-      }
-      return ExecuteFilter(filter, input, ctx);
-    }
-    case plan::NodeKind::kProject: {
-      const auto& project = static_cast<const ProjectNode&>(node);
-      // Fused filter+project: when the child is a Filter, compile the pair
-      // once and run both operators in a single pass over the input. A
-      // runtime applicability miss falls back to the unfused pair over the
-      // same child output — bit-identical by construction.
-      if (ctx.primitive_cache != nullptr && FusedEvalEnabled() &&
-          !node.children.empty() &&
-          node.children[0]->kind == plan::NodeKind::kFilter &&
-          !node.children[0]->children.empty()) {
-        const auto& filter = static_cast<const FilterNode&>(*node.children[0]);
-        FusedProgramPtr program = ctx.primitive_cache->GetFused(
-            &filter, [&filter, &project] {
-              return FusedFilterProject::Compile(filter, &project);
-            });
-        if (program != nullptr && program->has_project()) {
-          TDP_ASSIGN_OR_RETURN(
-              Chunk input, ExecuteNode(*node.children[0]->children[0], ctx));
-          std::optional<Chunk> fused = program->Execute(input, ctx);
-          if (fused.has_value()) return std::move(*fused);
-          TDP_ASSIGN_OR_RETURN(Chunk filtered,
-                               ExecuteFilter(filter, input, ctx));
-          return ExecuteProject(project, filtered, ctx);
-        }
-      }
-      Chunk input;
-      if (!node.children.empty()) {
-        TDP_ASSIGN_OR_RETURN(input, ExecuteNode(*node.children[0], ctx));
-      }
-      return ExecuteProject(project, input, ctx);
-    }
-    case plan::NodeKind::kAggregate: {
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteAggregate(static_cast<const AggregateNode&>(node), input,
-                              ctx);
-    }
-    case plan::NodeKind::kJoin: {
-      const auto& join = static_cast<const JoinNode&>(node);
-      const LogicalNode& build_child =
-          *node.children[join.build_left ? 0 : 1];
-      const LogicalNode& probe_child =
-          *node.children[join.build_left ? 1 : 0];
-      // Reusable build side: when the build subtree is a deterministic
-      // Filter/Project chain over one scan, key the hash table by (join
-      // node, table identity, device) in the plan's PrimitiveCache. A hit
-      // skips executing the build subtree and re-hashing it; DML swaps the
-      // Table object, so the next run misses and rebuilds.
-      std::shared_ptr<Table> build_table;
-      std::shared_ptr<const JoinHashTable> ht;
-      if (ctx.primitive_cache != nullptr && !ctx.soft_mode &&
-          ctx.memory == nullptr) {
-        const ScanNode* scan = CacheableBuildSubtree(build_child);
-        if (scan != nullptr) {
-          StatusOr<std::shared_ptr<Table>> resolved =
-              ctx.catalog->GetTable(scan->table_name);
-          if (resolved.ok()) {
-            build_table = std::move(resolved).value();
-            ht = ctx.primitive_cache->LookupJoin(&node, build_table,
-                                                 ctx.device);
-          }
-        }
-      }
-      if (ht == nullptr) {
-        TDP_ASSIGN_OR_RETURN(Chunk build, ExecuteNode(build_child, ctx));
-        TDP_ASSIGN_OR_RETURN(JoinHashTable built,
-                             BuildJoinHashTable(join, std::move(build), ctx));
-        auto shared = std::make_shared<const JoinHashTable>(std::move(built));
-        if (build_table != nullptr && shared->spilled == nullptr) {
-          ctx.primitive_cache->StoreJoin(&node, std::move(build_table),
-                                         ctx.device, shared);
-        }
-        ht = std::move(shared);
-      }
-      TDP_ASSIGN_OR_RETURN(Chunk probe, ExecuteNode(probe_child, ctx));
-      return ProbeJoin(join, *ht, probe, ctx);
-    }
-    case plan::NodeKind::kSort: {
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteSort(static_cast<const SortNode&>(node), input, ctx);
-    }
-    case plan::NodeKind::kLimit: {
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteLimit(static_cast<const LimitNode&>(node), input);
-    }
-    case plan::NodeKind::kDistinct: {
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteDistinct(input);
-    }
-    case plan::NodeKind::kIndexTopK: {
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteIndexTopK(static_cast<const plan::IndexTopKNode&>(node),
-                              input, ctx);
-    }
-    case plan::NodeKind::kCreateTable:
-      return ExecuteCreateTable(
-          static_cast<const plan::CreateTableNode&>(node), ctx);
-    case plan::NodeKind::kInsert: {
-      Chunk source;
-      if (!node.children.empty()) {
-        TDP_ASSIGN_OR_RETURN(source, ExecuteNode(*node.children[0], ctx));
-      }
-      return ExecuteInsert(static_cast<const plan::InsertNode&>(node),
-                           source, ctx);
-    }
-    case plan::NodeKind::kUpdate: {
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteUpdate(static_cast<const plan::UpdateNode&>(node), input,
-                           ctx);
-    }
-    case plan::NodeKind::kDelete: {
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteDelete(static_cast<const plan::DeleteNode&>(node), input,
-                           ctx);
-    }
-  }
-  return Status::Internal("unknown plan node kind");
 }
 
 int64_t DefaultMorselRows() {

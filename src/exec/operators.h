@@ -13,10 +13,6 @@
 #include "src/storage/catalog.h"
 
 namespace tdp {
-namespace plan {
-struct PipelinePlan;
-}  // namespace plan
-
 namespace exec {
 
 class PrimitiveCache;
@@ -48,17 +44,18 @@ struct ExecContext {
   /// bindings here (rather than on the plan) is what lets one CompiledQuery
   /// execute on many threads with different parameters simultaneously.
   const std::vector<ScalarValue>* params = nullptr;
-  /// Executor selection for this run (see ExecOptions). Soft-mode
-  /// (trainable) runs always take the legacy path: the autograd graph must
-  /// span the whole relation, not per-morsel slices.
-  ExecOptions exec;
+  /// Morsel size in rows (`RunOptions::morsel_rows`); 0 resolves to
+  /// `DefaultMorselRows()`. Soft-mode runs set it to "whole relation"
+  /// (INT64_MAX) so every pipeline runs as one morsel and the autograd
+  /// graph spans the full relation.
+  int64_t morsel_rows = 0;
   /// Vector-search knobs for IndexTopK / FilteredIndexTopK operators
   /// (`RunOptions::vector_search`): probe budget (0 probes every cell —
   /// exact), strategy override, post-filter widening pace.
   VectorSearchOptions vector_search;
   /// Cooperative cancellation: when set, workers poll it at morsel
-  /// boundaries (and the legacy executor at node boundaries) and abandon
-  /// the run with `kCancelled`. Null when the run is not cancellable.
+  /// boundaries and abandon the run with `kCancelled`. Null when the run
+  /// is not cancellable.
   const CancellationToken* cancel = nullptr;
   /// Test-only morsel fault hook (see `RunOptions::inject_morsel_fault`);
   /// points at storage owned by the caller for the duration of the run.
@@ -76,6 +73,7 @@ struct ExecContext {
   UdfDispatcher* udf_dispatch = nullptr;
   /// Per-run override of every ModelEval stage's batch size
   /// (`RunOptions::model_batch_rows`); 0 keeps each stage's compiled size.
+  /// Soft-mode runs set it to INT64_MAX: one forward over the relation.
   int64_t model_batch_rows = 0;
   /// Per-query memory accounting + spill-file registry, owned by the run
   /// (`RunOptions::memory_budget_bytes > 0`); null means unlimited. The
@@ -93,43 +91,14 @@ struct ExecContext {
 };
 
 /// OK while `ctx`'s run is live; `kCancelled` once its token has been
-/// cancelled (client disconnect, cursor close, timeout). Polled at morsel
-/// boundaries by the streaming executor and at node boundaries by the
-/// legacy one.
+/// cancelled (client disconnect, cursor close, timeout). Polled at
+/// pipeline and morsel boundaries by the streaming executor.
 inline Status CheckCancel(const ExecContext& ctx) {
   if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
     return Status::Cancelled("query run cancelled");
   }
   return Status::OK();
 }
-
-/// Executes a bound plan subtree, materializing its result chunk. Each
-/// node lowers to a tensor program on `ctx.device` (TQP-style compiled
-/// operators): filters become boolean-mask kernels, aggregates become
-/// grouped reductions, joins hash tensor-encoded keys, and so on.
-///
-/// Execution is chunk-at-a-time (one materialized `Chunk` per node, no
-/// row-at-a-time iteration) and morsel-parallel: the per-row loops inside
-/// an operator shard across the process-wide `ThreadPool`, gated by the
-/// `TDP_NUM_THREADS` environment variable. Results are deterministic for
-/// every thread count — floating-point aggregate accumulation folds
-/// fixed-size row blocks whose boundaries depend only on the row count.
-///
-/// Errors (missing tables, schema drift since compilation, type
-/// mismatches) surface as failed Status, never as crashes.
-StatusOr<Chunk> ExecuteNode(const plan::LogicalNode& node,
-                            const ExecContext& ctx);
-
-/// Executes a full optimized plan with the executor selected by
-/// `ctx.exec`: the morsel-driven streaming pipelines of `pipelines`
-/// (default), or the legacy whole-relation recursion (`ExecuteNode`) when
-/// `ctx.exec.streaming` is false or the run is in soft (trainable) mode.
-/// `pipelines` must have been built from `root` (see
-/// `plan::BuildPipelines`); results are bit-identical between the two
-/// executors at any thread count and morsel size.
-StatusOr<Chunk> ExecutePlan(const plan::LogicalNode& root,
-                            const plan::PipelinePlan& pipelines,
-                            const ExecContext& ctx);
 
 }  // namespace exec
 }  // namespace tdp

@@ -117,13 +117,6 @@ class PrimitiveCache {
 /// of the plan node and its input — the precondition for caching.
 bool CacheableExpr(const BoundExpr& expr);
 
-/// If the logical subtree rooted at `node` is a chain of Filter/Project
-/// operators (with cacheable expressions) over a single table Scan,
-/// returns that ScanNode; otherwise null. A join build side of this shape
-/// produces an identical hash table on every run over the same Table
-/// object, making it safe to key by table identity in a PrimitiveCache.
-const plan::ScanNode* CacheableBuildSubtree(const plan::LogicalNode& node);
-
 }  // namespace exec
 }  // namespace tdp
 

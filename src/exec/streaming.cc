@@ -1,7 +1,7 @@
 // Morsel-driven streaming executor: runs the pipelines built by
 // `plan::BuildPipelines` in dependency order. Within one pipeline the
 // source relation is cut into bounded row-range morsels (zero-copy views,
-// `ExecOptions::morsel_rows`, default ~64K rows) that flow through the
+// `RunOptions::morsel_rows`, default ~64K rows) that flow through the
 // order-preserving operators — Filter, Project, hash-join probe, and the
 // micro-batch ModelEval stage wrapping batchable model calls — without
 // ever materializing an intermediate relation; morsels run in parallel on
@@ -17,13 +17,19 @@
 // morsel boundaries so closed cursors / cancelled runs stop producing.
 //
 // Determinism contract (asserted by tests/streaming_parity_test.cc): the
-// assembled stream equals the legacy whole-relation chunk row for row,
-// because every streaming operator is order-preserving and per-row local
-// (batchable model calls are row-local by contract, so ModelEval's
-// micro-batches reassemble bit-identically), and every breaker (aggregate,
-// sort, distinct, join build, non-batchable TVF/UDF) consumes the
-// assembled stream with the same kernel the legacy path uses. Morsel size
-// therefore never changes results — only scheduling.
+// assembled stream of a many-morsel run equals, row for row, the chunk a
+// single whole-relation morsel produces, because every streaming operator
+// is order-preserving and per-row local (batchable model calls are
+// row-local by contract, so ModelEval's micro-batches reassemble
+// bit-identically), and every breaker (aggregate, sort, distinct, join
+// build, non-batchable TVF/UDF) consumes the assembled stream with one
+// whole-relation kernel. Morsel size therefore never changes results —
+// only scheduling.
+//
+// Soft-mode (trainable) runs use these same pipelines with one
+// whole-relation morsel each and one forward per ModelEval stage
+// (`CompiledQuery::MakeContext`), so the autograd graph spans the relation
+// and soft aggregates see every row at once.
 
 #include "src/exec/streaming.h"
 
@@ -67,9 +73,9 @@ struct PipelineOutputs {
 /// no rows: the assembled stream is the concatenation of the survivors, so
 /// a morsel with nothing to contribute must not run further operators —
 /// a Project of a constant over an empty morsel would fabricate a row that
-/// the whole-relation path (which sees one nonempty relation) never sees.
-/// The empty-stream fallback runs with `stop_when_empty=false`, applying
-/// every operator to the empty relation exactly like the legacy path.
+/// a whole-relation morsel (one nonempty relation) never produces. The
+/// empty-stream fallback runs with `stop_when_empty=false`, applying every
+/// operator to the empty relation exactly like a single-morsel run.
 StatusOr<Chunk> ApplyOps(const Pipeline& p, Chunk morsel,
                          const PipelineOutputs& outs, const ExecContext& ctx,
                          bool stop_when_empty) {
@@ -146,9 +152,9 @@ StatusOr<Chunk> SourceChunk(const Pipeline& p, const PipelineOutputs& outs,
                         Chunk{}, ctx);
 }
 
-/// The legacy-identical result of streaming an empty relation: every
-/// operator runs over zero rows (a constant Project still emits its single
-/// row, exactly as the whole-relation path does on an empty input).
+/// The result of streaming an empty relation: every operator runs over
+/// zero rows (a constant Project still emits its single row, exactly as a
+/// whole-relation morsel does on an empty input).
 StatusOr<Chunk> EmptyStreamResult(const Pipeline& p, const Chunk& src,
                                   const PipelineOutputs& outs,
                                   const ExecContext& ctx) {
@@ -169,13 +175,12 @@ struct MorselPartition {
 MorselPartition PartitionMorsels(const Chunk& src, const ExecContext& ctx) {
   MorselPartition part;
   part.rows = src.num_rows();
-  part.morsel_rows = std::max<int64_t>(
-      1, ctx.exec.morsel_rows > 0 ? ctx.exec.morsel_rows
-                                  : DefaultMorselRows());
+  part.morsel_rows = ctx.morsel_rows > 0 ? ctx.morsel_rows
+                                         : DefaultMorselRows();
+  // Ceiling division without `rows + morsel_rows - 1`, which overflows for
+  // morsel sizes near INT64_MAX (soft runs' whole-relation morsel).
   part.num_morsels =
-      part.rows == 0
-          ? 0
-          : (part.rows + part.morsel_rows - 1) / part.morsel_rows;
+      part.rows == 0 ? 0 : 1 + (part.rows - 1) / part.morsel_rows;
   return part;
 }
 
@@ -190,7 +195,8 @@ int64_t LimitEnd(const plan::LimitNode& node) {
 
 /// Assembles the kLimit sink: walks survivors in morsel order and
 /// concatenates only the row range [offset, offset+limit) — the prefix
-/// property of Limit makes this exactly the legacy Select.
+/// property of Limit makes this exactly ExecuteLimit over the assembled
+/// stream.
 Chunk AssembleLimit(const plan::LimitNode& node, std::vector<Chunk> survivors) {
   const int64_t end = LimitEnd(node);
   std::vector<Chunk> taken;
@@ -252,8 +258,8 @@ StatusOr<Chunk> RunPipeline(const Pipeline& p, const PipelineOutputs& outs,
   // relation, so the operator chain runs on it directly — no slicing, no
   // per-morsel bookkeeping, no empty-morsel drop rule (that rule exists
   // only to keep partial morsels from fabricating constant-projection
-  // rows; with one batch the legacy semantics apply verbatim). This keeps
-  // point-query serving overhead at the level of the materializing path.
+  // rows; with one batch the whole-relation semantics apply verbatim).
+  // Point queries and soft-mode runs always take this path.
   if (num_morsels <= 1) {
     TDP_ASSIGN_OR_RETURN(Chunk out, ApplyOps(p, std::move(src), outs, ctx,
                                              /*stop_when_empty=*/false));
@@ -379,7 +385,7 @@ StatusOr<Chunk> ApplyBreaker(const LogicalNode& sink, Chunk input,
     }
     case NodeKind::kJoin:
       // UDF-bearing residual: probe the whole assembled left relation at
-      // once, exactly like the legacy path.
+      // once (the UDF body is a whole-batch tensor program).
       return ProbeJoin(static_cast<const plan::JoinNode&>(sink),
                        *outs.joins.at(&sink), input, ctx);
     case NodeKind::kIndexTopK:
@@ -393,7 +399,7 @@ StatusOr<Chunk> ApplyBreaker(const LogicalNode& sink, Chunk input,
     // full-table scan for UPDATE/DELETE, the SELECT child for INSERT ...
     // SELECT, empty for the childless forms), so the write delta — like
     // every breaker product — is independent of morsel size and thread
-    // count; the kernels themselves match the legacy path exactly.
+    // count.
     case NodeKind::kCreateTable:
       return ExecuteCreateTable(
           static_cast<const plan::CreateTableNode&>(sink), ctx);
@@ -495,8 +501,8 @@ Status StreamResultPipeline(const Pipeline& p, const PipelineOutputs& outs,
   }
 
   if (!sunk_any) {
-    // Every morsel filtered away: reproduce the legacy empty-relation
-    // result (a constant Project still emits its single row).
+    // Every morsel filtered away: reproduce the empty-relation result (a
+    // constant Project still emits its single row).
     TDP_ASSIGN_OR_RETURN(Chunk empty, EmptyStreamResult(p, src, outs, ctx));
     return sink(std::move(empty));
   }
@@ -563,8 +569,10 @@ StatusOr<std::shared_ptr<const JoinHashTable>> BuildOrReuseJoin(
   return ht;
 }
 
-Status ExecuteStreamingImpl(const PipelinePlan& pplan, const ExecContext& ctx,
-                            const ChunkSink& sink) {
+}  // namespace
+
+Status ExecuteStreamingToSink(const PipelinePlan& pplan,
+                              const ExecContext& ctx, const ChunkSink& sink) {
   PipelineOutputs outs;
   for (const Pipeline& p : pplan.pipelines) {
     if (p.sink_kind == SinkKind::kResult) {
@@ -598,27 +606,13 @@ Status ExecuteStreamingImpl(const PipelinePlan& pplan, const ExecContext& ctx,
   return Status::Internal("pipeline plan has no result pipeline");
 }
 
-}  // namespace
-
-Status ExecuteStreamingToSink(const PipelinePlan& pplan,
-                              const ExecContext& ctx, const ChunkSink& sink) {
-  return ExecuteStreamingImpl(pplan, ctx, sink);
-}
-
-StatusOr<Chunk> ExecutePlan(const plan::LogicalNode& root,
-                            const PipelinePlan& pipelines,
+StatusOr<Chunk> ExecutePlan(const PipelinePlan& pplan,
                             const ExecContext& ctx) {
-  // Soft (trainable) runs take the legacy whole-relation path: the
-  // autograd graph of a soft aggregate must span the full relation, and
-  // training-loop throughput is bounded by the backward pass, not by
-  // operator materialization.
-  if (!ctx.exec.streaming || ctx.soft_mode) return ExecuteNode(root, ctx);
-  // Run() is a thin drain of the same sink-based streaming executor the
-  // cursor uses: collect the result pipeline's chunks and concatenate
-  // them, which is bit-identical to the pre-cursor assembly.
+  // Run() is a thin drain of the same sink-based executor the cursor
+  // uses: collect the result pipeline's chunks and concatenate them.
   std::vector<Chunk> parts;
   TDP_RETURN_NOT_OK(ExecuteStreamingToSink(
-      pipelines, ctx, [&parts](Chunk chunk) {
+      pplan, ctx, [&parts](Chunk chunk) {
         parts.push_back(std::move(chunk));
         return Status::OK();
       }));

@@ -373,11 +373,21 @@ std::string Table::ToString(int64_t max_rows) const {
   }
   os << "\n";
   const int64_t shown = std::min<int64_t>(max_rows, num_rows_);
-  // Pre-decode dictionary columns once.
+  // Pre-decode dictionary columns once. Integer and bool plain columns
+  // print from their typed values: `At()` returns a double, which would
+  // round int64 values past 2^53 and print 7+ digits in exponent form.
   std::vector<std::vector<std::string>> decoded(column_names_.size());
+  std::vector<std::vector<int64_t>> exact(column_names_.size());
   for (size_t c = 0; c < column_names_.size(); ++c) {
-    if (column(static_cast<int64_t>(c)).encoding() == Encoding::kDictionary) {
-      decoded[c] = column(static_cast<int64_t>(c)).DecodeStrings();
+    const Column& col = column(static_cast<int64_t>(c));
+    if (col.encoding() == Encoding::kDictionary) {
+      decoded[c] = col.DecodeStrings();
+    } else if (col.encoding() == Encoding::kPlain && col.data().dim() == 1 &&
+               col.data().dtype() != DType::kFloat32 &&
+               col.data().dtype() != DType::kFloat64) {
+      exact[c] = Slice(col.data(), 0, 0, shown)
+                     .To(DType::kInt64)
+                     .ToVector<int64_t>();
     }
   }
   for (int64_t r = 0; r < shown; ++r) {
@@ -386,6 +396,8 @@ std::string Table::ToString(int64_t max_rows) const {
       const Column& col = column(static_cast<int64_t>(c));
       if (col.encoding() == Encoding::kDictionary) {
         os << decoded[c][static_cast<size_t>(r)];
+      } else if (!exact[c].empty()) {
+        os << exact[c][static_cast<size_t>(r)];
       } else if (col.IsTensorColumn()) {
         os << "<tensor " << ShapeToString(col.data().shape()) << " row>";
       } else if (col.encoding() == Encoding::kProbability) {

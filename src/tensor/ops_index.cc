@@ -136,8 +136,12 @@ Tensor NonZero(const Tensor& mask) {
     int64_t tmp[kNonZeroBlock];
     const int64_t count = CompactRange(mp, 0, n, tmp);
     Tensor out = Tensor::Empty({count}, DType::kInt64, mask.device());
-    std::memcpy(out.data<int64_t>(), tmp,
-                static_cast<size_t>(count) * sizeof(int64_t));
+    // An empty tensor has no buffer, and memcpy from/to null is UB even
+    // for zero bytes.
+    if (count > 0) {
+      std::memcpy(out.data<int64_t>(), tmp,
+                  static_cast<size_t>(count) * sizeof(int64_t));
+    }
     return out;
   }
 
@@ -166,6 +170,7 @@ Tensor NonZero(const Tensor& mask) {
   }
   const int64_t count = block_offsets[static_cast<size_t>(num_blocks)];
   Tensor out = Tensor::Empty({count}, DType::kInt64, mask.device());
+  if (count == 0) return out;  // no buffer to compact into
   int64_t* op = out.data<int64_t>();
   const int64_t* offsets = block_offsets.data();
   ParallelFor(0, num_blocks, GrainForCost(kBlock),

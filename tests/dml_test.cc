@@ -24,11 +24,11 @@ using exec::RunOptions;
 using exec::ScalarValue;
 
 // Runs `sql` and returns the single rows_affected value; fails the test on
-// any error. `streaming` selects the executor.
+// any error. `morsel_rows` sizes the run's morsels (0 = default).
 int64_t RowsAffected(Session& session, const std::string& sql,
-                     bool streaming = true) {
+                     int64_t morsel_rows = 0) {
   RunOptions run;
-  run.exec.streaming = streaming;
+  run.morsel_rows = morsel_rows;
   auto r = session.Sql(sql, {}, run);
   EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
   if (!r.ok()) return -1;
@@ -66,20 +66,20 @@ TEST(DmlTest, CreateInsertSelectRoundTrip) {
             (std::vector<std::string>{"bock", "cask"}));
 }
 
-TEST(DmlTest, BothExecutorsRunEveryStatementKind) {
-  for (const bool streaming : {true, false}) {
-    SCOPED_TRACE(streaming ? "streaming" : "legacy");
+TEST(DmlTest, EveryStatementKindRunsAtAnyMorselSize) {
+  for (const int64_t morsel_rows : {0, 1}) {
+    SCOPED_TRACE("morsel_rows=" + std::to_string(morsel_rows));
     Session session;
     EXPECT_EQ(RowsAffected(session, "CREATE TABLE t (a INT, b INT)",
-                           streaming),
+                           morsel_rows),
               0);
     EXPECT_EQ(RowsAffected(session, "INSERT INTO t VALUES (1, 10), (2, 20)",
-                           streaming),
+                           morsel_rows),
               2);
     EXPECT_EQ(RowsAffected(session, "UPDATE t SET b = b + 1 WHERE a = 2",
-                           streaming),
+                           morsel_rows),
               1);
-    EXPECT_EQ(RowsAffected(session, "DELETE FROM t WHERE a = 1", streaming),
+    EXPECT_EQ(RowsAffected(session, "DELETE FROM t WHERE a = 1", morsel_rows),
               1);
     auto r = session.Sql("SELECT a, b FROM t");
     ASSERT_TRUE(r.ok()) << r.status().ToString();

@@ -107,20 +107,15 @@ std::shared_ptr<Table> MakeVecTable(int64_t n, int64_t dim, int64_t clusters,
 }
 
 struct ExecConfig {
-  bool streaming;
   int64_t morsel_rows;  // 0 = executor default (whole-input morsels)
   std::string label;
 };
 
 std::vector<ExecConfig> Sweep() {
   std::vector<ExecConfig> configs;
-  for (const bool streaming : {true, false}) {
-    for (const int64_t morsel :
-         {int64_t{1}, int64_t{7}, int64_t{4096}, int64_t{0}}) {
-      configs.push_back({streaming, morsel,
-                         std::string(streaming ? "streaming" : "legacy") +
-                             "/morsel=" + std::to_string(morsel)});
-    }
+  for (const int64_t morsel :
+       {int64_t{1}, int64_t{7}, int64_t{4096}, int64_t{0}}) {
+    configs.push_back({morsel, "morsel=" + std::to_string(morsel)});
   }
   return configs;
 }
@@ -174,13 +169,12 @@ TEST_P(FilteredTopKDifferentialTest, FilteredSearchAgreesWithExactPlan) {
       ASSERT_NE(plan->find("FilteredIndexTopK"), std::string::npos)
           << what << "\n" << *plan;
 
-      // Full budgets: bit-identity across executors/morsels (cost-rule
+      // Full budgets: bit-identity across morsel sizes (cost-rule
       // strategy) and across every forced strategy (whole-input morsels).
       for (const ExecConfig& config : configs) {
         for (const int64_t probes : {int64_t{0}, int64_t{1000}}) {
           RunOptions run = testutil::WithParams(params);
-          run.exec.streaming = config.streaming;
-          run.exec.morsel_rows = config.morsel_rows;
+          run.morsel_rows = config.morsel_rows;
           run.vector_search.num_probes = probes;
           auto got = indexed.Sql(sql, {}, run);
           ASSERT_TRUE(got.ok()) << what << " [" << config.label

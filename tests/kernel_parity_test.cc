@@ -11,7 +11,7 @@
 //     the same kernels over eager contiguous copies, per backend, across
 //     thread counts.
 //   - Fused filter+project: with the fusion knob on vs off, every
-//     (executor, thread count, morsel size) combination must be
+//     (thread count, morsel size) combination must be
 //     bit-identical — including the runtime-fallback cases (parameters,
 //     unfusable projections, bool columns, dictionary predicates with
 //     absent literals, literal-on-the-left comparisons).
@@ -369,46 +369,25 @@ class FusedParityTest : public ::testing::Test {
   }
 
   StatusOr<std::shared_ptr<Table>> RunWith(
-      const std::string& sql, bool streaming, int64_t morsel_rows,
+      const std::string& sql, int64_t morsel_rows,
       const std::vector<exec::ScalarValue>& params = {}) {
     exec::RunOptions run;
     run.params = params;
-    run.exec.streaming = streaming;
-    run.exec.morsel_rows = morsel_rows;
+    run.morsel_rows = morsel_rows;
     TDP_ASSIGN_OR_RETURN(auto query, Compile(sql));
     return query->Run(run);
   }
 
-  // Strict bit-identity including encodings and dictionary identity (same
-  // oracle the streaming-parity suite uses).
-  void ExpectBitIdentical(const Table& a, const Table& b) {
-    ASSERT_EQ(a.num_columns(), b.num_columns());
-    ASSERT_EQ(a.num_rows(), b.num_rows());
-    for (int64_t c = 0; c < a.num_columns(); ++c) {
-      SCOPED_TRACE("column " + std::to_string(c));
-      EXPECT_EQ(a.column_names()[static_cast<size_t>(c)],
-                b.column_names()[static_cast<size_t>(c)]);
-      const Column& ca = a.column(c);
-      const Column& cb = b.column(c);
-      ASSERT_EQ(ca.encoding(), cb.encoding());
-      EXPECT_TRUE(
-          TensorEqual(ca.data().Contiguous(), cb.data().Contiguous()))
-          << "column data diverged";
-      EXPECT_EQ(ca.dictionary(), cb.dictionary());
-      EXPECT_EQ(ca.domain(), cb.domain());
-    }
-  }
-
   /// The core oracle: results with fusion ON must be bit-identical to
-  /// results with fusion OFF, for both executors, across thread counts
-  /// and morsel sizes. The OFF legacy whole-relation run is the reference.
+  /// results with fusion OFF, across thread counts and morsel sizes. The
+  /// OFF whole-relation-morsel run is the reference.
   void ExpectFusedParity(const std::string& sql,
                          const std::vector<exec::ScalarValue>& params = {}) {
     SCOPED_TRACE(sql);
     StatusOr<std::shared_ptr<Table>> reference(nullptr);
     {
       ScopedFusedEval off(false);
-      reference = RunWith(sql, /*streaming=*/false, 0, params);
+      reference = RunWith(sql, kWholeRelation, params);
     }
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     for (const bool fused : {false, true}) {
@@ -419,11 +398,9 @@ class FusedParityTest : public ::testing::Test {
           SCOPED_TRACE(std::string("fused=") + (fused ? "on" : "off") +
                        " threads=" + std::to_string(threads) +
                        " morsel=" + std::to_string(morsel));
-          for (const bool streaming : {true, false}) {
-            auto got = RunWith(sql, streaming, morsel, params);
-            ASSERT_TRUE(got.ok()) << got.status().ToString();
-            ExpectBitIdentical(**reference, **got);
-          }
+          auto got = RunWith(sql, morsel, params);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          testutil::ExpectTablesBitIdentical(**reference, **got);
         }
       }
     }
@@ -493,17 +470,17 @@ TEST_F(FusedParityTest, FusedProgramCompiledOncePerPlan) {
   ASSERT_TRUE((*query)->Run(run).ok());
   const int64_t compiles = (*query)->primitive_cache().fused_compiles();
   EXPECT_GE(compiles, 1);
-  // Re-runs (any executor) reuse the cached program — structural analysis
-  // happens exactly once per plan node.
+  // Re-runs (any morsel size) reuse the cached program — structural
+  // analysis happens exactly once per plan node.
   ASSERT_TRUE((*query)->Run(run).ok());
-  run.exec.streaming = false;
+  run.morsel_rows = 7;
   ASSERT_TRUE((*query)->Run(run).ok());
   EXPECT_EQ((*query)->primitive_cache().fused_compiles(), compiles);
 }
 
 // ---- Join build-side reuse ------------------------------------------------
 
-TEST_F(FusedParityTest, JoinBuildReusedAcrossRunsAndExecutors) {
+TEST_F(FusedParityTest, JoinBuildReusedAcrossRunsAndMorselSizes) {
   // `r` is far smaller than `big`, so the planner builds on it; the build
   // subtree is a bare cacheable scan.
   auto query = Compile("SELECT big.k, r.w FROM big JOIN r ON big.k = r.kr "
@@ -522,15 +499,16 @@ TEST_F(FusedParityTest, JoinBuildReusedAcrossRunsAndExecutors) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(pc.join_hits(), 1);
   EXPECT_EQ(pc.join_misses(), misses);
-  ExpectBitIdentical(**first, **second);
+  testutil::ExpectTablesBitIdentical(**first, **second);
 
-  // The legacy executor keys by the same plan node: cross-executor hit.
-  run.exec.streaming = false;
-  auto legacy = (*query)->Run(run);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  // The entry is keyed by plan node, not morsel size: a whole-relation
+  // run hits the same build.
+  run.morsel_rows = kWholeRelation;
+  auto whole = (*query)->Run(run);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
   EXPECT_EQ(pc.join_hits(), 2);
   EXPECT_EQ(pc.join_misses(), misses);
-  ExpectBitIdentical(**first, **legacy);
+  testutil::ExpectTablesBitIdentical(**first, **whole);
 }
 
 TEST_F(FusedParityTest, JoinCacheInvalidatedByReRegisteredTable) {
@@ -556,9 +534,9 @@ TEST_F(FusedParityTest, JoinCacheInvalidatedByReRegisteredTable) {
 
   // The rebuilt result equals a from-scratch compile over the new catalog.
   auto fresh = RunWith("SELECT big.k, r.w FROM big JOIN r ON big.k = r.kr",
-                       /*streaming=*/true, kWholeRelation);
+                       kWholeRelation);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-  ExpectBitIdentical(**fresh, **rebuilt);
+  testutil::ExpectTablesBitIdentical(**fresh, **rebuilt);
 }
 
 TEST_F(FusedParityTest, JoinCacheInvalidatedByDml) {
@@ -582,9 +560,9 @@ TEST_F(FusedParityTest, JoinCacheInvalidatedByDml) {
   EXPECT_EQ(pc.join_hits(), 1);
 
   auto fresh = RunWith("SELECT big.k, jt.w FROM big JOIN jt ON big.k = jt.kr",
-                       /*streaming=*/true, kWholeRelation);
+                       kWholeRelation);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-  ExpectBitIdentical(**fresh, **updated);
+  testutil::ExpectTablesBitIdentical(**fresh, **updated);
 }
 
 TEST_F(FusedParityTest, ParamBearingBuildSideNeverCached) {
@@ -607,13 +585,13 @@ TEST_F(FusedParityTest, ParamBearingBuildSideNeverCached) {
   auto fresh_low = RunWith(
       "SELECT big.k, s.w FROM big JOIN "
       "(SELECT kr, w FROM r WHERE w > ?) s ON big.k = s.kr",
-      /*streaming=*/true, kWholeRelation, {exec::ScalarValue::Float(5.0)});
+      kWholeRelation, {exec::ScalarValue::Float(5.0)});
   ASSERT_TRUE(fresh_low.ok()) << fresh_low.status().ToString();
-  ExpectBitIdentical(**fresh_low, **low);
+  testutil::ExpectTablesBitIdentical(**fresh_low, **low);
   EXPECT_NE((*low)->num_rows(), (*high)->num_rows());
 }
 
-TEST_F(FusedParityTest, ScanTransferCachedAcrossRunsAndExecutors) {
+TEST_F(FusedParityTest, ScanTransferCachedAcrossRunsAndMorselSizes) {
   // Tables register on the CPU device and the session compiles for the
   // accel device, so every scan needs a device transfer; repeated runs
   // must reuse the moved columns instead of re-copying the table.
@@ -632,15 +610,16 @@ TEST_F(FusedParityTest, ScanTransferCachedAcrossRunsAndExecutors) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(pc.scan_hits(), 1);
   EXPECT_EQ(pc.scan_misses(), misses);
-  ExpectBitIdentical(**first, **second);
+  testutil::ExpectTablesBitIdentical(**first, **second);
 
-  // The legacy executor keys by the same scan node: cross-executor hit.
-  run.exec.streaming = false;
-  auto legacy = (*query)->Run(run);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  // The entry is keyed by scan node, not morsel size: a whole-relation
+  // run hits the same transfer.
+  run.morsel_rows = kWholeRelation;
+  auto whole = (*query)->Run(run);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
   EXPECT_EQ(pc.scan_hits(), 2);
   EXPECT_EQ(pc.scan_misses(), misses);
-  ExpectBitIdentical(**first, **legacy);
+  testutil::ExpectTablesBitIdentical(**first, **whole);
 }
 
 TEST_F(FusedParityTest, ScanCacheInvalidatedByReRegisteredTable) {
@@ -664,10 +643,9 @@ TEST_F(FusedParityTest, ScanCacheInvalidatedByReRegisteredTable) {
   EXPECT_GT(pc.scan_misses(), misses);
   EXPECT_EQ((*refreshed)->num_rows(), 2);
 
-  auto fresh = RunWith("SELECT kr, w FROM r WHERE w > 10",
-                       /*streaming=*/true, kWholeRelation);
+  auto fresh = RunWith("SELECT kr, w FROM r WHERE w > 10", kWholeRelation);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-  ExpectBitIdentical(**fresh, **refreshed);
+  testutil::ExpectTablesBitIdentical(**fresh, **refreshed);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -20,6 +21,7 @@
 #include "src/common/thread_pool.h"
 #include "src/runtime/session.h"
 #include "src/tensor/ops.h"
+#include "tests/vector_test_util.h"
 
 namespace tdp {
 namespace {
@@ -57,29 +59,20 @@ class ResultCursorTest : public ::testing::Test {
 TEST_F(ResultCursorTest, DrainedStreamMatchesRun) {
   auto query = Prepare("SELECT k, v FROM big WHERE v > 0");
   RunOptions run;
-  run.exec.morsel_rows = 97;  // prime-sized morsels, many chunks
+  run.morsel_rows = 97;  // prime-sized morsels, many chunks
   auto reference = query->Run(run);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
   auto cursor = query->Open(std::move(run));
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-  std::vector<Chunk> chunks;
-  while (true) {
-    auto chunk = (*cursor)->Next();
-    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
-    if (!chunk->has_value()) break;
-    chunks.push_back(std::move(**chunk));
-  }
-  ASSERT_GT(chunks.size(), 10u);
+  auto chunks = testutil::DrainChunks(**cursor);
+  ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
+  ASSERT_GT(chunks->size(), 10u);
   EXPECT_EQ((*cursor)->chunks_produced(),
-            static_cast<int64_t>(chunks.size()));
-  auto table = Chunk::Concat(chunks).ToTable("result");
+            static_cast<int64_t>(chunks->size()));
+  auto table = Chunk::Concat(*chunks).ToTable("result");
   ASSERT_TRUE(table.ok());
-  EXPECT_EQ((*table)->num_rows(), (*reference)->num_rows());
-  for (int64_t c = 0; c < (*table)->num_columns(); ++c) {
-    EXPECT_TRUE(TensorEqual((*table)->column(c).data().Contiguous(),
-                            (*reference)->column(c).data().Contiguous()));
-  }
+  testutil::ExpectTablesBitIdentical(**reference, **table);
 }
 
 // Backpressure proves streaming: with a bounded queue, the producer can
@@ -89,7 +82,7 @@ TEST_F(ResultCursorTest, DrainedStreamMatchesRun) {
 TEST_F(ResultCursorTest, BoundedQueueKeepsProductionIncremental) {
   auto query = Prepare("SELECT k, v FROM big WHERE v > -200");
   RunOptions run;
-  run.exec.morsel_rows = 8;  // ~1250 chunks
+  run.morsel_rows = 8;  // ~1250 chunks
   run.cursor_queue_chunks = 2;
   auto cursor = query->Open(std::move(run));
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
@@ -106,7 +99,7 @@ TEST_F(ResultCursorTest, BoundedQueueKeepsProductionIncremental) {
 TEST_F(ResultCursorTest, EarlyCloseStopsProduction) {
   auto query = Prepare("SELECT k, v FROM big WHERE v > -200");
   RunOptions run;
-  run.exec.morsel_rows = 8;  // ~1250 chunks if fully drained
+  run.morsel_rows = 8;  // ~1250 chunks if fully drained
   auto cursor = query->Open(std::move(run));
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
   auto first = (*cursor)->Next();
@@ -137,7 +130,7 @@ TEST_F(ResultCursorTest, CallerTokenCancelsRunAndCursor) {
   // Token cancelled mid-stream: Next() eventually reports Cancelled (after
   // draining what was already queued), and production stops early.
   RunOptions streamed;
-  streamed.exec.morsel_rows = 8;
+  streamed.morsel_rows = 8;
   streamed.cursor_queue_chunks = 1;
   streamed.cancel = std::make_shared<exec::CancellationToken>();
   auto token = streamed.cancel;
@@ -161,12 +154,11 @@ TEST_F(ResultCursorTest, CallerTokenCancelsRunAndCursor) {
   EXPECT_LT((*cursor)->chunks_produced(), 100);
 }
 
-// The legacy (whole-relation) executor behind a cursor: one chunk,
-// identical rows.
-TEST_F(ResultCursorTest, LegacyExecutorYieldsOneChunk) {
+// A whole-relation morsel behind a cursor: one chunk, identical rows.
+TEST_F(ResultCursorTest, WholeRelationMorselYieldsOneChunk) {
   auto query = Prepare("SELECT k FROM big WHERE v > 0");
   RunOptions run;
-  run.exec.streaming = false;
+  run.morsel_rows = std::numeric_limits<int64_t>::max();
   auto reference = query->Run(run);
   ASSERT_TRUE(reference.ok());
   auto cursor = query->Open(std::move(run));
@@ -210,13 +202,13 @@ TEST_F(ResultCursorTest, MidStreamFaultMatchesRunStatus) {
   };
 
   RunOptions run;
-  run.exec.morsel_rows = 64;
+  run.morsel_rows = 64;
   run.inject_morsel_fault = fault;
   auto materialized = query->Run(run);
   ASSERT_FALSE(materialized.ok());
 
   RunOptions streamed;
-  streamed.exec.morsel_rows = 64;
+  streamed.morsel_rows = 64;
   streamed.inject_morsel_fault = fault;
   auto cursor = query->Open(std::move(streamed));
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
@@ -251,7 +243,7 @@ TEST_F(ResultCursorTest, MidStreamFaultMatchesRunStatus) {
 // (shared StatusOr path through Prepare).
 TEST_F(ResultCursorTest, SessionSqlPropagatesInjectedFault) {
   RunOptions run;
-  run.exec.morsel_rows = 64;
+  run.morsel_rows = 64;
   run.inject_morsel_fault = [](int64_t i) {
     return i == 3 ? Status::ExecutionError("boom") : Status::OK();
   };

@@ -443,9 +443,10 @@ TEST(SessionConcurrencyTest, DmlWriterRacesAggregatingReaders) {
   for (int t = 0; t < kThreads; ++t) {
     readers.emplace_back([&, t] {
       for (int i = 0; i < 40; ++i) {
-        // Alternate executors so both serve under concurrent writes.
+        // Alternate one-row and default morsels so both the many-morsel
+        // and the single-morsel paths serve under concurrent writes.
         exec::RunOptions run;
-        run.exec.streaming = (t + i) % 2 == 0;
+        run.morsel_rows = (t + i) % 2 == 0 ? 0 : 1;
         auto r = session.Sql("SELECT COUNT(*), SUM(val) FROM feed", {}, run);
         if (!r.ok()) {
           ++failures;
@@ -670,7 +671,7 @@ TEST(SessionConcurrencyTest, SharedModelServingRacesAcrossSessions) {
   // other sessions' coalesced batches.
   std::thread closer([&] {
     exec::RunOptions run;
-    run.exec.morsel_rows = 4;  // several chunks, so Close() really lands early
+    run.morsel_rows = 4;  // several chunks, so Close() really lands early
     while (!stop.load()) {
       auto cursor = sessions[0]->Execute(sql, {}, run);
       if (!cursor.ok()) {

@@ -8,7 +8,7 @@
 // join+aggregate+sort compositions) under a budget sweep:
 //
 //     {unlimited, tight, pathological-1-byte}
-//   x {streaming (morsels 7 / 4096 / default), legacy whole-relation}
+//   x {morsels 7 / 4096 / default / whole relation}
 //
 // Every budgeted result must be BYTE-identical (NaN payloads and -0 signs
 // included — stricter than value equality) to the unlimited in-memory
@@ -44,6 +44,7 @@
 #include "src/exec/spill.h"
 #include "src/runtime/session.h"
 #include "src/storage/table.h"
+#include "tests/vector_test_util.h"
 
 namespace tdp {
 namespace {
@@ -163,17 +164,16 @@ const std::vector<std::string>& Queries() {
 }
 
 struct ExecConfig {
-  bool streaming;
   int64_t morsel_rows;
   std::string label;
 };
 
 const std::vector<ExecConfig>& Configs() {
   static const std::vector<ExecConfig> configs = {
-      {true, 0, "streaming/default"},
-      {true, 7, "streaming/morsel=7"},
-      {true, 4096, "streaming/morsel=4096"},
-      {false, 0, "legacy"},
+      {0, "morsel=default"},
+      {7, "morsel=7"},
+      {4096, "morsel=4096"},
+      {std::numeric_limits<int64_t>::max(), "morsel=whole"},
   };
   return configs;
 }
@@ -190,7 +190,7 @@ TEST_P(SpillDifferentialTest, BudgetedRunsAreByteIdentical) {
   const int64_t live_before = QueryMemory::LiveSpillFiles();
 
   for (const std::string& sql : Queries()) {
-    // Reference: unlimited, streaming, default morsel.
+    // Reference: unlimited, default morsel.
     auto reference = session.Sql(sql);
     ASSERT_TRUE(reference.ok()) << sql << "\n"
                                 << reference.status().ToString();
@@ -198,8 +198,7 @@ TEST_P(SpillDifferentialTest, BudgetedRunsAreByteIdentical) {
     for (const ExecConfig& config : Configs()) {
       for (int64_t budget : kBudgets) {
         RunOptions run;
-        run.exec.streaming = config.streaming;
-        run.exec.morsel_rows = config.morsel_rows;
+        run.morsel_rows = config.morsel_rows;
         run.memory_budget_bytes = budget;
         const std::string what =
             sql + " [" + config.label + " budget=" + std::to_string(budget) +
@@ -234,8 +233,7 @@ TEST_P(SpillDifferentialTest, PathologicalBudgetOnPathologicalShapes) {
                                 << reference.status().ToString();
     for (const ExecConfig& config : Configs()) {
       RunOptions run;
-      run.exec.streaming = config.streaming;
-      run.exec.morsel_rows = config.morsel_rows;
+      run.morsel_rows = config.morsel_rows;
       run.memory_budget_bytes = 1;
       auto result = session.Sql(sql, {}, run);
       ASSERT_TRUE(result.ok()) << sql << " [" << config.label << "]\n"
@@ -261,29 +259,14 @@ TEST_P(SpillDifferentialTest, CursorDrainMatchesRun) {
   auto cursor = session.Execute(sql, {}, run);
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
 
-  std::vector<exec::Chunk> chunks;
-  while (true) {
-    auto next = cursor.value()->Next();
-    ASSERT_TRUE(next.ok()) << next.status().ToString();
-    if (!next.value().has_value()) break;
-    chunks.push_back(std::move(next.value().value()));
-  }
+  auto chunks = testutil::DrainChunks(**cursor);
+  ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
   // The producer released its spill files when the stream ended — before
   // the cursor object itself dies.
   EXPECT_EQ(QueryMemory::LiveSpillFiles(), live_before);
 
-  ASSERT_FALSE(chunks.empty());
-  std::vector<Column> merged;
-  for (size_t c = 0; c < chunks[0].columns.size(); ++c) {
-    std::vector<Column> parts;
-    for (const auto& chunk : chunks) parts.push_back(chunk.columns[c]);
-    merged.push_back(Column::Concat(parts));
-  }
-  TableBuilder builder("drained");
-  for (size_t c = 0; c < merged.size(); ++c) {
-    builder.AddColumn(chunks[0].names[c], merged[c]);
-  }
-  auto drained = builder.Build();
+  ASSERT_FALSE(chunks->empty());
+  auto drained = exec::Chunk::Concat(*chunks).ToTable("drained");
   ASSERT_TRUE(drained.ok()) << drained.status().ToString();
   ExpectTablesByteIdentical(*reference.value(), *drained.value(),
                             "cursor drain");
@@ -298,7 +281,7 @@ TEST_P(SpillDifferentialTest, EarlyCursorCloseReleasesSpillFiles) {
   {
     RunOptions run;
     run.memory_budget_bytes = 1;
-    run.exec.morsel_rows = 7;  // many result chunks: the drain stays early
+    run.morsel_rows = 7;  // many result chunks: the drain stays early
     auto cursor = session.Execute(
         "SELECT id, score FROM rows ORDER BY score, id", {}, run);
     ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();

@@ -87,6 +87,30 @@ TEST(TableTest, ToDeviceMovesColumns) {
   EXPECT_EQ((*table)->column(0).data().device(), Device::kCpu);
 }
 
+// int64 and bool cells print from their typed values: 2^53 and 2^53 + 1
+// share one double, so a double-routed printer would show both as the
+// same rounded exponent string.
+TEST(TableTest, ToStringPrintsIntegersExactly) {
+  const int64_t two53 = int64_t{1} << 53;
+  auto table = TableBuilder("t")
+                   .AddInt64("id", {two53, two53 + 1, -7})
+                   .AddBool("flag", {true, false, true})
+                   .Build();
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ((*table)->ToString(),
+            "t (3 rows)\n"
+            "id | flag\n"
+            "9007199254740992 | 1\n"
+            "9007199254740993 | 0\n"
+            "-7 | 1\n");
+  // A row cap still prints exact values for the rows shown.
+  EXPECT_EQ((*table)->ToString(1),
+            "t (3 rows)\n"
+            "id | flag\n"
+            "9007199254740992 | 1\n"
+            "... (2 more)\n");
+}
+
 TEST(CatalogTest, RegisterLookupDrop) {
   Catalog catalog;
   auto table = TableBuilder("t").AddFloat32("x", {1}).Build();

@@ -1,16 +1,18 @@
-// Differential test for the two executors behind `ExecutePlan`: the
-// morsel-driven streaming pipelines (default) and the legacy
-// whole-relation materializing path must produce *bit-identical* results
-// for every morsel size and thread count — including degenerate morsels
-// (1 row), morsels that straddle the aggregate's 4096-row accumulation
-// blocks, empty/single-row tables, and empty build/probe join sides.
-// The pull-based ResultCursor is swept alongside: the concatenation of a
-// drained cursor's chunks must equal the legacy Run() bit for bit at
-// every (morsel, thread) combination, and abandoning/sharing cursors
-// across threads must be race-free (this suite runs under TSan in CI).
+// Morsel-size differential test for the streaming executor: a run that
+// cuts every pipeline into many morsels must produce *bit-identical*
+// results to a run over one whole-relation morsel (the kernel sequence
+// soft-mode runs take) for every morsel size and thread count — including
+// degenerate morsels (1 row), morsels that straddle the aggregate's
+// 4096-row accumulation blocks, empty/single-row tables, and empty
+// build/probe join sides. The pull-based ResultCursor is swept alongside:
+// the concatenation of a drained cursor's chunks must equal the
+// whole-relation Run() bit for bit at every (morsel, thread) combination,
+// and abandoning/sharing cursors across threads must be race-free (this
+// suite runs under TSan in CI).
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -42,7 +44,7 @@ class StreamingParityTest : public ::testing::Test {
                                             "delta", "omega"};
     // Main table: big enough that a 4096-row morsel splits it, with
     // full-precision doubles so any reduction-order difference between
-    // the executors shows up as a bit difference.
+    // morsel sizes shows up as a bit difference.
     const int64_t rows = 10000;
     std::vector<int64_t> keys;
     std::vector<double> values;
@@ -92,8 +94,8 @@ class StreamingParityTest : public ::testing::Test {
 
     // A deliberately batch-DEPENDENT scalar UDF (subtracts the batch
     // mean): its per-row output changes with the evaluation batch, so any
-    // operator that evaluated it per morsel would diverge from the legacy
-    // whole-relation path. The pipeline builder must therefore treat every
+    // operator that evaluated it per morsel would diverge from the
+    // whole-relation run. The pipeline builder must therefore treat every
     // NON-batchable UDF-bearing operator as a breaker — bnorm is the
     // negative control for the ModelEval streaming of batchable calls.
     udf::ScalarFunction fn;
@@ -160,14 +162,13 @@ class StreamingParityTest : public ::testing::Test {
   }
 
   StatusOr<std::shared_ptr<Table>> RunWith(
-      const std::string& sql, bool streaming, int64_t morsel_rows,
+      const std::string& sql, int64_t morsel_rows,
       const std::vector<exec::ScalarValue>& params = {}) {
     QueryOptions options;
     options.use_plan_cache = false;
     exec::RunOptions run;
     run.params = params;
-    run.exec.streaming = streaming;
-    run.exec.morsel_rows = morsel_rows;
+    run.morsel_rows = morsel_rows;
     TDP_ASSIGN_OR_RETURN(auto query, session_.Query(sql, options));
     return query->Run(run);
   }
@@ -179,12 +180,8 @@ class StreamingParityTest : public ::testing::Test {
       exec::RunOptions run) {
     TDP_ASSIGN_OR_RETURN(std::unique_ptr<exec::ResultCursor> cursor,
                          query->Open(std::move(run)));
-    std::vector<exec::Chunk> chunks;
-    while (true) {
-      TDP_ASSIGN_OR_RETURN(std::optional<exec::Chunk> chunk, cursor->Next());
-      if (!chunk.has_value()) break;
-      chunks.push_back(std::move(*chunk));
-    }
+    TDP_ASSIGN_OR_RETURN(std::vector<exec::Chunk> chunks,
+                         testutil::DrainChunks(*cursor));
     // A successful stream always yields at least one (possibly zero-row)
     // chunk — an empty stream would be a silent-truncation bug.
     if (chunks.empty()) {
@@ -201,50 +198,30 @@ class StreamingParityTest : public ::testing::Test {
     options.use_plan_cache = false;
     exec::RunOptions run;
     run.params = params;
-    run.exec.morsel_rows = morsel_rows;
+    run.morsel_rows = morsel_rows;
     TDP_ASSIGN_OR_RETURN(auto query, session_.Query(sql, options));
     return DrainCursor(query, std::move(run));
   }
 
-  void ExpectBitIdentical(const Table& a, const Table& b) {
-    ASSERT_EQ(a.num_columns(), b.num_columns());
-    ASSERT_EQ(a.num_rows(), b.num_rows());
-    for (int64_t c = 0; c < a.num_columns(); ++c) {
-      SCOPED_TRACE("column " + std::to_string(c));
-      EXPECT_EQ(a.column_names()[static_cast<size_t>(c)],
-                b.column_names()[static_cast<size_t>(c)]);
-      const Column& ca = a.column(c);
-      const Column& cb = b.column(c);
-      ASSERT_EQ(ca.encoding(), cb.encoding());
-      EXPECT_TRUE(TensorEqual(ca.data().Contiguous(), cb.data().Contiguous()))
-          << "column data diverged: " << ca.ToString() << " vs "
-          << cb.ToString();
-      EXPECT_EQ(ca.dictionary(), cb.dictionary());
-      EXPECT_EQ(ca.domain(), cb.domain());
-    }
-  }
-
-  /// Runs `sql` on the legacy path once, then on the streaming path —
+  /// Runs `sql` once over whole-relation morsels as the reference, then —
   /// both the materializing Run() and a drained ResultCursor — for every
   /// (morsel size, thread count) combination, asserting bit identity.
-  /// Thread counts apply to both paths — the legacy path's intra-operator
-  /// loops are also thread-deterministic.
   void ExpectParity(const std::string& sql,
                     const std::vector<exec::ScalarValue>& params = {}) {
     SCOPED_TRACE(sql);
-    auto reference = RunWith(sql, /*streaming=*/false, 0, params);
+    auto reference = RunWith(sql, kWholeRelation, params);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     for (int threads : kThreadCounts) {
       ScopedNumThreads guard(threads);
       for (int64_t morsel : kMorselSizes) {
         SCOPED_TRACE("threads=" + std::to_string(threads) +
                      " morsel=" + std::to_string(morsel));
-        auto streamed = RunWith(sql, /*streaming=*/true, morsel, params);
+        auto streamed = RunWith(sql, morsel, params);
         ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-        ExpectBitIdentical(**reference, **streamed);
+        testutil::ExpectTablesBitIdentical(**reference, **streamed);
         auto drained = CursorWith(sql, morsel, params);
         ASSERT_TRUE(drained.ok()) << drained.status().ToString();
-        ExpectBitIdentical(**reference, **drained);
+        testutil::ExpectTablesBitIdentical(**reference, **drained);
       }
     }
   }
@@ -312,9 +289,8 @@ TEST_F(StreamingParityTest, IndexTopK) {
   const std::vector<exec::ScalarValue> params = {
       exec::ScalarValue::FromTensor(query_vec_)};
   // The compiled plan for each of these is an IndexTopK breaker (the
-  // catalog holds an index on vecs.emb); the sweep drives it through the
-  // legacy executor, the streaming executor, and a drained cursor at
-  // every morsel/thread combination.
+  // catalog holds an index on vecs.emb); the sweep drives it through
+  // Run() and a drained cursor at every morsel/thread combination.
   ExpectParity(
       "SELECT id, dot(emb, ?) AS sim FROM vecs ORDER BY sim DESC LIMIT 12",
       params);
@@ -358,7 +334,7 @@ TEST_F(StreamingParityTest, IndexTopKCursorEarlyClose) {
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   exec::RunOptions run;
   run.params = {exec::ScalarValue::FromTensor(query_vec_)};
-  run.exec.morsel_rows = 4;
+  run.morsel_rows = 4;
   auto cursor = (*query)->Open(std::move(run));
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
   auto first = (*cursor)->Next();
@@ -394,7 +370,7 @@ TEST_F(StreamingParityTest, EmptyJoinSides) {
 TEST_F(StreamingParityTest, DegenerateProjections) {
   ExpectParity("SELECT 1 + 2 AS three, 10 / 4 AS frac");
   // Literal-only projection over a filter that drops every row: the
-  // streaming fallback must reproduce the legacy empty-relation behavior.
+  // many-morsel fallback must reproduce the whole-relation behavior.
   ExpectParity("SELECT 1 FROM big WHERE k > 999");
   ExpectParity("SELECT 1 FROM big WHERE k >= 0 LIMIT 3");
 }
@@ -419,7 +395,7 @@ TEST_F(StreamingParityTest, BatchDependentUdfsBreakPipelines) {
 
 // Batchable (row-local) model calls STREAM: the plan gets a ModelEval
 // micro-batch stage instead of a breaker, and the full sweep (morsels
-// {1,7,4096,whole} x threads {1,4} x both executors x cursor drains) must
+// {1,7,4096,whole} x threads {1,4} x Run() and cursor drains) must
 // stay bit-identical — batch boundaries (preferred_batch_rows=3) land
 // inside, across, and exactly on every swept morsel boundary.
 TEST_F(StreamingParityTest, BatchableUdfsStreamThroughModelEval) {
@@ -468,18 +444,20 @@ TEST_F(StreamingParityTest, ModelEvalExplainAndBatchOverride) {
   // The batchable-bearing Project/Filter no longer appears as a breaker.
   EXPECT_EQ(pipelines.find("materialize"), std::string::npos) << pipelines;
 
+  // Reference: one morsel and one forward over the whole relation.
   exec::RunOptions reference_run;
-  reference_run.exec.streaming = false;
+  reference_run.morsel_rows = kWholeRelation;
+  reference_run.model_batch_rows = kWholeRelation;
   auto reference = (*query)->Run(reference_run);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   for (int64_t batch : {1, 2, 7, 4096}) {
     SCOPED_TRACE("model_batch_rows=" + std::to_string(batch));
     exec::RunOptions run;
     run.model_batch_rows = batch;
-    run.exec.morsel_rows = 64;
+    run.morsel_rows = 64;
     auto result = (*query)->Run(run);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ExpectBitIdentical(**reference, **result);
+    testutil::ExpectTablesBitIdentical(**reference, **result);
   }
   // A negative override fails fast with a named error.
   exec::RunOptions bad;
@@ -503,20 +481,45 @@ TEST_F(StreamingParityTest, NonBatchableUdfKeepsBreaker) {
   EXPECT_NE(pipelines.find("materialize"), std::string::npos) << pipelines;
 }
 
-// The whole-table streaming default must also match when driven through
-// the normal Session::Sql path (plan cache on, default run options) —
-// the legacy executor is now selected per run, through the same cached
-// plan.
-TEST_F(StreamingParityTest, DefaultPathMatchesLegacy) {
+// The default must also match when driven through the normal
+// Session::Sql path (plan cache on): the morsel size is selected per run,
+// through the same cached plan.
+TEST_F(StreamingParityTest, DefaultPathMatchesSmallMorsels) {
   const std::string sql =
       "SELECT tag, COUNT(*), SUM(v) FROM big GROUP BY tag ORDER BY tag";
-  auto streamed = session_.Sql(sql);
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  exec::RunOptions legacy;
-  legacy.exec.streaming = false;
-  auto reference = session_.Sql(sql, QueryOptions{}, legacy);
+  auto reference = session_.Sql(sql);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  ExpectBitIdentical(**reference, **streamed);
+  exec::RunOptions small;
+  small.morsel_rows = 7;
+  auto streamed = session_.Sql(sql, QueryOptions{}, small);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  testutil::ExpectTablesBitIdentical(**reference, **streamed);
+}
+
+// A morsel size of INT64_MAX (what soft-mode runs use for "whole
+// relation") must partition without signed overflow and match the default
+// run bit for bit, through Run() and a drained cursor alike. The ASan +
+// UBSan job runs this suite, so an overflowing ceiling division fails
+// here.
+TEST_F(StreamingParityTest, MorselRowsAtInt64MaxMatchesDefault) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (const char* sql :
+       {"SELECT k + 1, v * 2 FROM big WHERE k < 32 AND v <= 10",
+        "SELECT tag, COUNT(*), SUM(v) FROM big GROUP BY tag ORDER BY tag",
+        "SELECT big.k, u.w FROM big JOIN u ON big.k = u.ku WHERE u.w > 10",
+        "SELECT k FROM big WHERE v > 0 LIMIT 100 OFFSET 4090",
+        "SELECT k, rowscale(v) FROM big WHERE v > 0",
+        "SELECT k, v FROM empty_t WHERE v > 0"}) {
+    SCOPED_TRACE(sql);
+    auto reference = RunWith(sql, /*morsel_rows=*/0);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    auto run = RunWith(sql, kMax);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    testutil::ExpectTablesBitIdentical(**reference, **run);
+    auto drained = CursorWith(sql, kMax);
+    ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+    testutil::ExpectTablesBitIdentical(**reference, **drained);
+  }
 }
 
 // Session::Execute end to end: the cursor stream through the plan cache
@@ -526,20 +529,15 @@ TEST_F(StreamingParityTest, SessionExecuteMatchesSql) {
   auto reference = session_.Sql(sql);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   exec::RunOptions run;
-  run.exec.morsel_rows = 512;
+  run.morsel_rows = 512;
   auto cursor = session_.Execute(sql, QueryOptions{}, std::move(run));
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-  std::vector<exec::Chunk> chunks;
-  while (true) {
-    auto chunk = (*cursor)->Next();
-    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
-    if (!chunk->has_value()) break;
-    chunks.push_back(std::move(**chunk));
-  }
-  ASSERT_GT(chunks.size(), 1u);  // genuinely streamed, not one blob
-  auto table = exec::Chunk::Concat(chunks).ToTable("result");
+  auto chunks = testutil::DrainChunks(**cursor);
+  ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
+  ASSERT_GT(chunks->size(), 1u);  // genuinely streamed, not one blob
+  auto table = exec::Chunk::Concat(*chunks).ToTable("result");
   ASSERT_TRUE(table.ok());
-  ExpectBitIdentical(**reference, **table);
+  testutil::ExpectTablesBitIdentical(**reference, **table);
 }
 
 // Mid-stream abandonment under concurrency: many threads open cursors on
@@ -558,7 +556,7 @@ TEST_F(StreamingParityTest, ConcurrentCursorAbandonment) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       exec::RunOptions run;
-      run.exec.morsel_rows = 16;  // ~625 potential chunks
+      run.morsel_rows = 16;  // ~625 potential chunks
       auto cursor = (*query)->Open(std::move(run));
       if (!cursor.ok()) return;
       auto first = (*cursor)->Next();
@@ -578,7 +576,7 @@ TEST_F(StreamingParityTest, ConcurrentCursorAbandonment) {
 TEST_F(StreamingParityTest, ConcurrentCursorsShareOnePreparedPlan) {
   const std::string sql =
       "SELECT k, v FROM big WHERE k < 48 AND v > -150";
-  auto reference = RunWith(sql, /*streaming=*/false, 0);
+  auto reference = RunWith(sql, kWholeRelation);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   auto query = session_.Prepare(sql);
   ASSERT_TRUE(query.ok()) << query.status().ToString();
@@ -589,7 +587,7 @@ TEST_F(StreamingParityTest, ConcurrentCursorsShareOnePreparedPlan) {
   for (int c = 0; c < 4; ++c) {
     clients.emplace_back([&, c] {
       exec::RunOptions run;
-      run.exec.morsel_rows = kMorsels[c];
+      run.morsel_rows = kMorsels[c];
       results[static_cast<size_t>(c)] = DrainCursor(*query, std::move(run));
     });
   }
@@ -598,7 +596,7 @@ TEST_F(StreamingParityTest, ConcurrentCursorsShareOnePreparedPlan) {
     SCOPED_TRACE("client " + std::to_string(c));
     ASSERT_TRUE(results[static_cast<size_t>(c)].ok())
         << results[static_cast<size_t>(c)].status().ToString();
-    ExpectBitIdentical(**reference, *results[static_cast<size_t>(c)].value());
+    testutil::ExpectTablesBitIdentical(**reference, *results[static_cast<size_t>(c)].value());
   }
 }
 

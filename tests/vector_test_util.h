@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/exec/result_cursor.h"
 #include "src/exec/run_options.h"
 #include "src/exec/value.h"
 #include "src/storage/table.h"
@@ -24,6 +26,18 @@ inline exec::RunOptions WithParams(std::vector<exec::ScalarValue> params) {
   exec::RunOptions run;
   run.params = std::move(params);
   return run;
+}
+
+/// Drains `cursor` to end of stream, returning its chunks in order; the
+/// first failed `Next()` is returned instead.
+inline StatusOr<std::vector<exec::Chunk>> DrainChunks(
+    exec::ResultCursor& cursor) {
+  std::vector<exec::Chunk> chunks;
+  while (true) {
+    TDP_ASSIGN_OR_RETURN(std::optional<exec::Chunk> chunk, cursor.Next());
+    if (!chunk.has_value()) return chunks;
+    chunks.push_back(std::move(*chunk));
+  }
 }
 
 /// Clustered unit vectors shared by the vector-index suites: `clusters`
@@ -50,18 +64,25 @@ inline Tensor MakeUnitQuery(int64_t dim, Rng& rng) {
       .Contiguous();
 }
 
-/// Asserts `a` and `b` hold the same bytes column for column — the
-/// "bit-identical" oracle the index-vs-brute differential suites share
-/// (the streaming-parity suite keeps its own stricter variant that also
-/// pins encodings and dictionary identity).
+/// Asserts `a` and `b` are bit-identical column for column — names,
+/// encodings, data, dictionaries and PE domains. The shared oracle of the
+/// differential suites (index vs brute force, morsel sizes, fused vs
+/// unfused evaluation).
 inline void ExpectTablesBitIdentical(const Table& a, const Table& b,
                                      const std::string& what = "") {
   ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
   ASSERT_EQ(a.num_columns(), b.num_columns()) << what;
   for (int64_t c = 0; c < a.num_columns(); ++c) {
-    EXPECT_TRUE(TensorEqual(a.column(c).data().Contiguous(),
-                            b.column(c).data().Contiguous()))
-        << what << " column " << c;
+    const size_t uc = static_cast<size_t>(c);
+    EXPECT_EQ(a.column_names()[uc], b.column_names()[uc]) << what;
+    const Column& ca = a.column(c);
+    const Column& cb = b.column(c);
+    ASSERT_EQ(ca.encoding(), cb.encoding()) << what << " column " << c;
+    EXPECT_TRUE(TensorEqual(ca.data().Contiguous(), cb.data().Contiguous()))
+        << what << " column " << c << " diverged: " << ca.ToString()
+        << " vs " << cb.ToString();
+    EXPECT_EQ(ca.dictionary(), cb.dictionary()) << what << " column " << c;
+    EXPECT_EQ(ca.domain(), cb.domain()) << what << " column " << c;
   }
 }
 
