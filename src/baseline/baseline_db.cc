@@ -1,7 +1,9 @@
 #include "src/baseline/baseline_db.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <compare>
 #include <set>
 
 #include "src/common/logging.h"
@@ -38,30 +40,72 @@ double AsDouble(const Value& v) {
   return 0;
 }
 
+// Grouping identity of a value (GROUP BY, DISTINCT): exact for every
+// type; doubles group by value, with -0 and +0 together and every NaN
+// together — the engine's key semantics.
+std::string GroupKey(const Value& v) {
+  std::string key;
+  if (const double* d = std::get_if<double>(&v)) {
+    char buf[32];
+    const auto end = std::isnan(*d)
+                         ? std::copy_n("nan", 3, buf)
+                         : std::to_chars(buf, buf + sizeof(buf),
+                                         *d == 0 ? 0.0 : *d)
+                               .ptr;
+    key.assign(buf, end);
+  } else {
+    key = ValueToString(v);
+  }
+  return key + "|" + std::to_string(v.index());
+}
+
 bool IsNumeric(const Value& v) {
   return std::holds_alternative<int64_t>(v) ||
          std::holds_alternative<double>(v) ||
          std::holds_alternative<bool>(v);
 }
 
+// Exact three-way comparison of an int64 with a double (no rounding of
+// the integer); NaN is unordered.
+std::partial_ordering CompareIntDouble(int64_t i, double d) {
+  constexpr double kTwoPow63 = 9223372036854775808.0;
+  if (std::isnan(d)) return std::partial_ordering::unordered;
+  if (d >= kTwoPow63) return std::partial_ordering::less;
+  if (d < -kTwoPow63) return std::partial_ordering::greater;
+  const double whole = std::trunc(d);  // fits in int64 here
+  if (const auto c = i <=> static_cast<int64_t>(whole); c != 0) return c;
+  return 0.0 <=> d - whole;
+}
+
 }  // namespace
 
-bool ValueEquals(const Value& a, const Value& b) {
-  if (std::holds_alternative<std::string>(a) ||
-      std::holds_alternative<std::string>(b)) {
-    return std::holds_alternative<std::string>(a) &&
-           std::holds_alternative<std::string>(b) &&
-           std::get<std::string>(a) == std::get<std::string>(b);
+std::partial_ordering ValueCompare(const Value& a, const Value& b) {
+  const bool a_str = std::holds_alternative<std::string>(a);
+  const bool b_str = std::holds_alternative<std::string>(b);
+  if (a_str || b_str) {
+    if (!a_str || !b_str) return std::partial_ordering::unordered;
+    return std::get<std::string>(a) <=> std::get<std::string>(b);
   }
-  return AsDouble(a) == AsDouble(b);
+  // Integers (bools as 0/1) compare as int64, never through a double.
+  const auto as_int = [](const Value& v) {
+    return std::holds_alternative<bool>(v)
+               ? int64_t{std::get<bool>(v) ? 1 : 0}
+               : std::get<int64_t>(v);
+  };
+  const bool a_int = !std::holds_alternative<double>(a);
+  const bool b_int = !std::holds_alternative<double>(b);
+  if (a_int && b_int) return as_int(a) <=> as_int(b);
+  if (a_int) return CompareIntDouble(as_int(a), std::get<double>(b));
+  if (b_int) return 0 <=> CompareIntDouble(as_int(b), std::get<double>(a));
+  return std::get<double>(a) <=> std::get<double>(b);
+}
+
+bool ValueEquals(const Value& a, const Value& b) {
+  return ValueCompare(a, b) == 0;
 }
 
 bool ValueLess(const Value& a, const Value& b) {
-  if (std::holds_alternative<std::string>(a) &&
-      std::holds_alternative<std::string>(b)) {
-    return std::get<std::string>(a) < std::get<std::string>(b);
-  }
-  return AsDouble(a) < AsDouble(b);
+  return ValueCompare(a, b) < 0;
 }
 
 std::string ValueToString(const Value& v) {
@@ -209,7 +253,7 @@ StatusOr<Value> Executor::Eval(const Expr& e, const RowScope& scope,
       const auto& lit = static_cast<const LiteralExpr&>(e);
       switch (lit.literal_kind) {
         case LiteralKind::kInteger:
-          return Value(static_cast<int64_t>(lit.number_value));
+          return Value(lit.int_value);
         case LiteralKind::kFloat:
           return Value(lit.number_value);
         case LiteralKind::kString:
@@ -233,15 +277,15 @@ StatusOr<Value> Executor::Eval(const Expr& e, const RowScope& scope,
         case BinaryOp::kEq:
           return Value(ValueEquals(lhs, rhs));
         case BinaryOp::kNe:
-          return Value(!ValueEquals(lhs, rhs));
+          return Value(ValueCompare(lhs, rhs) != 0);
         case BinaryOp::kLt:
           return Value(ValueLess(lhs, rhs));
         case BinaryOp::kGe:
-          return Value(!ValueLess(lhs, rhs));
+          return Value(ValueCompare(lhs, rhs) >= 0);
         case BinaryOp::kGt:
           return Value(ValueLess(rhs, lhs));
         case BinaryOp::kLe:
-          return Value(!ValueLess(rhs, lhs));
+          return Value(ValueCompare(lhs, rhs) <= 0);
         default:
           break;
       }
@@ -395,8 +439,7 @@ StatusOr<BaselineTable> Executor::Execute(const SelectStatement& stmt) {
       std::vector<Value> key_values;
       for (const auto& g : stmt.group_by) {
         TDP_ASSIGN_OR_RETURN(Value v, Eval(*g, input.scope, input.rows[r]));
-        key.push_back(ValueToString(v) + "|" +
-                      std::to_string(v.index()));
+        key.push_back(GroupKey(v));
         key_values.push_back(std::move(v));
       }
       auto [it, inserted] = groups.emplace(key, std::vector<size_t>{});
@@ -472,10 +515,7 @@ StatusOr<BaselineTable> Executor::Execute(const SelectStatement& stmt) {
             TDP_ASSIGN_OR_RETURN(
                 v, Eval(*agg->args[0], input.scope, input.rows[r]));
             if (agg->distinct &&
-                !distinct_seen
-                     .insert(ValueToString(v) + "|" +
-                             std::to_string(v.index()))
-                     .second) {
+                !distinct_seen.insert(GroupKey(v)).second) {
               continue;
             }
           }
@@ -623,9 +663,7 @@ StatusOr<BaselineTable> Executor::Execute(const SelectStatement& stmt) {
     for (auto& row : projected) {
       std::string key;
       for (const Value& v : row) {
-        key += ValueToString(v);
-        key += "|";
-        key += std::to_string(v.index());
+        key += GroupKey(v);
         key += ";";
       }
       if (seen.insert(key).second) unique_rows.push_back(std::move(row));
@@ -676,15 +714,15 @@ StatusOr<Value> Executor::EvalPostAgg(const Expr& e,
         case BinaryOp::kEq:
           return Value(ValueEquals(lhs, rhs));
         case BinaryOp::kNe:
-          return Value(!ValueEquals(lhs, rhs));
+          return Value(ValueCompare(lhs, rhs) != 0);
         case BinaryOp::kLt:
           return Value(ValueLess(lhs, rhs));
         case BinaryOp::kGe:
-          return Value(!ValueLess(lhs, rhs));
+          return Value(ValueCompare(lhs, rhs) >= 0);
         case BinaryOp::kGt:
           return Value(ValueLess(rhs, lhs));
         case BinaryOp::kLe:
-          return Value(!ValueLess(rhs, lhs));
+          return Value(ValueCompare(lhs, rhs) <= 0);
         case BinaryOp::kAdd:
           return both_int ? Value(std::get<int64_t>(lhs) +
                                   std::get<int64_t>(rhs))

@@ -1,6 +1,7 @@
 #ifndef TDP_BASELINE_BASELINE_DB_H_
 #define TDP_BASELINE_BASELINE_DB_H_
 
+#include <compare>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,6 +18,10 @@ namespace baseline {
 /// data only, like the extracted OCR tables it exists to serve).
 using Value = std::variant<int64_t, double, std::string, bool>;
 
+/// SQL comparison: int64 x int64 as int64, int64 x double exactly, NaN
+/// unordered against everything, strings by value and unordered against
+/// numbers.
+std::partial_ordering ValueCompare(const Value& a, const Value& b);
 bool ValueEquals(const Value& a, const Value& b);
 bool ValueLess(const Value& a, const Value& b);
 std::string ValueToString(const Value& v);

@@ -13,8 +13,7 @@ using sql::UnaryOp;
 // column tensors).
 StatusOr<Tensor> ScalarToTensor(const ScalarValue& v, Device device) {
   if (v.is_int()) {
-    return Tensor::Full({1}, static_cast<double>(v.int_value()),
-                        DType::kInt64, device);
+    return Tensor::FromVector<int64_t>({v.int_value()}, {}, device);
   }
   if (v.is_float()) {
     return Tensor::Full({1}, v.float_value(), DType::kFloat32, device);
@@ -405,7 +404,6 @@ StatusOr<EvalResult> EvaluateVectorSim(const BoundVectorSim& expr,
 
 StatusOr<EvalResult> EvaluateExpr(const BoundExpr& expr, const Chunk& input,
                                   const EvalOptions& opts) {
-  const Device device = opts.device;
   const std::vector<ScalarValue>* params = opts.params;
   switch (expr.kind) {
     case BoundExprKind::kColumnRef: {

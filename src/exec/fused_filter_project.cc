@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/thread_pool.h"
@@ -20,10 +21,11 @@ using ArithOp = FusedFilterProject::ArithOp;
 // Unfused, `col <cmp> lit` runs as: ScalarToTensor(lit) -> To(compute) on
 // both operands (compute = PromoteTypes) -> BinaryEval, where the kAccel
 // backend compares in compute dtype and the kCpu reference backend routes
-// every element through double. The fused loops apply the identical casts
-// inline — `static_cast<ComputeT>(col[i])` replaces the To() copy, the
-// literal is pre-converted through the same ScalarToTensor chain — so the
-// resulting booleans/values are bit-identical on both backends.
+// every element through double (int64 for integer compares). The fused
+// loops apply the identical casts inline — `static_cast<ComputeT>(col[i])`
+// replaces the To() copy, the literal is pre-converted through the same
+// ScalarToTensor chain — so the resulting booleans/values are
+// bit-identical on both backends.
 
 /// `lit <cmp> col` rewritten as `col <cmp'> lit`. Comparison mirroring is
 /// exact under IEEE semantics (including NaN operands): x < y iff y > x.
@@ -106,9 +108,10 @@ void CmpRange(const ColT* col, ComputeT lit, CmpOp op, bool ref_math,
     }
   };
   auto run = [&](auto cmp) {
-    if (ref_math) {
-      // Reference backend: both operands pass through double, exactly as
-      // the interpretive ReferenceLoop computes them.
+    if (ref_math && std::is_floating_point_v<ComputeT>) {
+      // Reference backend: float operands pass through double, exactly as
+      // the interpretive ReferenceLoop computes them (integer compares
+      // stay int64 there too).
       const double litd = static_cast<double>(lit);
       apply([col, litd, cmp](int64_t i) {
         return cmp(static_cast<double>(static_cast<ComputeT>(col[i])), litd);
@@ -269,14 +272,13 @@ void ProjRangeDyn(const ResolvedProj& p, const int64_t* idx, bool ref_math,
 }
 
 /// Converts the resolved literal through the exact unfused chain:
-/// ScalarToTensor makes an int literal a kInt64 tensor *via a double cast*
-/// and a float literal a kFloat32 tensor; To(compute) then static_casts.
+/// ScalarToTensor makes an int literal an exact kInt64 tensor and a float
+/// literal a kFloat32 tensor; To(compute) then static_casts.
 /// Returns false for literal kinds the fused path does not handle.
 bool ConvertNumericLit(const ScalarValue& v, DType col_dtype, DType* compute,
                        int64_t* lit_i, float* lit_f, double* lit_d) {
   if (v.is_int()) {
-    const int64_t raw = static_cast<int64_t>(
-        static_cast<double>(v.int_value()));
+    const int64_t raw = v.int_value();
     *compute = PromoteTypes(col_dtype, DType::kInt64);
     switch (*compute) {
       case DType::kInt64:

@@ -2,10 +2,11 @@
 #define TDP_EXEC_OPERATOR_KERNELS_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/statusor.h"
+#include "src/exec/bound_expr.h"
+#include "src/exec/keys.h"
 #include "src/exec/operators.h"
 #include "src/plan/logical_plan.h"
 
@@ -13,22 +14,6 @@ namespace tdp {
 namespace exec {
 
 struct SpilledJoinBuild;  // spill_kernels.h
-
-// ---- Key normalization (shared with the spill kernels) ---------------------
-
-/// Per-row integer codes whose equality and order agree with value
-/// equality and order WITHIN this column: dictionary columns yield their
-/// codes, PE columns hard-decode first, plain float columns rank through
-/// Unique. Float ranks are relative to the whole column — for codes that
-/// stay comparable across separately-encoded pages see
-/// `OrderPreservingCodes` (spill_kernels.h).
-StatusOr<std::vector<int64_t>> ColumnToCodes(const Column& column);
-
-/// Normalized per-row join keys for one side (strings FNV-1a hashed,
-/// numerics as -0-normalized double bit patterns). Row-local, so keys are
-/// code-compatible across sides, morsels, and spill partitions.
-StatusOr<std::vector<std::vector<int64_t>>> JoinRowKeys(
-    const Chunk& chunk, const std::vector<int64_t>& cols);
 
 // Per-operator execution kernels of the streaming executor
 // (`ExecutePlan`, streaming.h): the order-preserving kernels
@@ -38,6 +23,10 @@ StatusOr<std::vector<std::vector<int64_t>>> JoinRowKeys(
 // is row-local, so a run over N morsels is bit-identical to a run over
 // one whole-relation morsel of the same query — at any thread count and
 // morsel size. The streaming parity suite asserts this invariant.
+
+/// Expression-evaluation options for one run: the device, the `?`
+/// bindings, and the batchable-UDF dispatch seam (scheduler + token).
+EvalOptions EvalOpts(const ExecContext& ctx);
 
 // ---- Streaming operators (order-preserving, morsel-safe) -------------------
 
@@ -66,31 +55,17 @@ StatusOr<Chunk> ExecuteModelEval(const plan::ModelEvalNode& node,
 
 // ---- Hash join: build consumer + streaming probe ---------------------------
 
-/// FNV-1a over a row's normalized key codes.
-struct RowKeyHash {
-  size_t operator()(const std::vector<int64_t>& key) const {
-    size_t h = 0xcbf29ce484222325ull;
-    for (int64_t v : key) {
-      h ^= static_cast<size_t>(v);
-      h *= 0x100000001b3ull;
-    }
-    return h;
-  }
-};
-
 /// The build side of a hash join, materialized by the build pipeline.
 /// Probe emission order is deterministic by construction: matches for a
-/// probe row are emitted in ascending build-row order (an explicit
-/// `std::vector` per key, not an `unordered_multimap`, whose equal-range
-/// order is implementation-defined).
+/// probe row are emitted in ascending build-row order (each key's rows
+/// are stored ascending, see `KeyRows`).
 struct JoinHashTable {
   /// The join's materialized build side: the right child by default, the
   /// left when the optimizer flipped `JoinNode::build_left` (smaller
   /// estimated input).
   Chunk build;
-  /// Normalized key -> build row indices, ascending.
-  std::unordered_map<std::vector<int64_t>, std::vector<int64_t>, RowKeyHash>
-      rows;
+  /// Build key tuples (`MakeJoinKeys` codes) -> build rows, ascending.
+  KeyRows rows{0};
   /// Set instead of `build`/`rows` when the build went grace (the build
   /// footprint exceeded the run's `MemoryBudget`): the payload lives in
   /// per-partition spill files and `ProbeJoin` dispatches to
@@ -113,6 +88,14 @@ StatusOr<JoinHashTable> BuildJoinHashTable(const plan::JoinNode& node,
 StatusOr<Chunk> ProbeJoin(const plan::JoinNode& node, const JoinHashTable& ht,
                           const Chunk& probe, const ExecContext& ctx);
 
+/// The joined chunk from the matched build and probe rows, both already
+/// gathered in emission order: columns in schema order (the left child's
+/// first, whichever side was the build), residual predicate applied.
+/// Shared by `ProbeJoin` and `ProbeSpilledJoin` (spill_kernels.h).
+StatusOr<Chunk> AssembleJoin(const plan::JoinNode& node,
+                             const Chunk& build_rows, const Chunk& probe_rows,
+                             const ExecContext& ctx);
+
 // ---- Aggregate: per-morsel input evaluation + deterministic finalize -------
 
 /// Per-morsel partial state of the aggregate consumer: the evaluated group
@@ -134,10 +117,11 @@ StatusOr<AggInputs> EvaluateAggInputs(const plan::AggregateNode& node,
 /// at the breaker).
 AggInputs MergeAggInputs(const std::vector<const AggInputs*>& parts);
 
-/// Groups, accumulates (fixed 4096-row blocks, block-order combine) and
-/// materializes the aggregate output columns. In soft mode, when every
-/// evaluated group key is PE-encoded, it runs the differentiable
-/// `SoftGroupByCount` instead (COUNT(*) only).
+/// Groups, accumulates (fixed 4096-row pages, page-order combine) and
+/// materializes the aggregate output columns. Over the run's memory
+/// budget the pages stream through a spill file, bit-identically. In soft
+/// mode, when every evaluated group key is PE-encoded, it runs the
+/// differentiable `SoftGroupByCount` instead (COUNT(*) only).
 StatusOr<Chunk> FinalizeAggregate(const plan::AggregateNode& node,
                                   const AggInputs& inputs,
                                   const ExecContext& ctx);

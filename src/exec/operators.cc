@@ -2,18 +2,16 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
-#include <map>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/string_util.h"
 #include "src/common/thread_pool.h"
 #include "src/exec/bound_expr.h"
+#include "src/exec/keys.h"
 #include "src/exec/operator_kernels.h"
 #include "src/exec/primitive_cache.h"
 #include "src/exec/soft_ops.h"
+#include "src/exec/spill.h"
 #include "src/exec/spill_kernels.h"
 #include "src/tensor/ops.h"
 
@@ -32,8 +30,8 @@ using plan::ScanNode;
 using plan::SortNode;
 using plan::TvfScanNode;
 
-/// Expression-evaluation options for one run: the device, the `?`
-/// bindings, and the batchable-UDF dispatch seam (scheduler + token).
+}  // namespace
+
 EvalOptions EvalOpts(const ExecContext& ctx) {
   EvalOptions opts;
   opts.device = ctx.device;
@@ -41,93 +39,6 @@ EvalOptions EvalOpts(const ExecContext& ctx) {
   opts.udf_dispatch = ctx.udf_dispatch;
   opts.cancel = ctx.cancel;
   return opts;
-}
-
-}  // namespace
-
-// ---- Key normalization ------------------------------------------------------
-//
-// Grouping / joining / distinct all need a per-row integer code whose
-// equality (and order) agrees with value equality (and order). Dictionary
-// columns already are codes; numeric columns are ranked through Unique.
-// Exported (operator_kernels.h) for the spill kernels, which must derive
-// the same key equivalences page by page.
-
-StatusOr<std::vector<int64_t>> ColumnToCodes(const Column& column) {
-  switch (column.encoding()) {
-    case Encoding::kDictionary:
-      return column.data().ToVector<int64_t>();
-    case Encoding::kProbability: {
-      // Hard-decode, then rank.
-      const Column hard = Column::Plain(column.DecodeValues());
-      return ColumnToCodes(hard);
-    }
-    case Encoding::kPlain: {
-      const Tensor& data = column.data();
-      if (data.dim() != 1) {
-        return Status::TypeError(
-            "tensor-valued columns cannot be grouping/join keys");
-      }
-      if (data.dtype() == DType::kInt64) return data.ToVector<int64_t>();
-      if (data.dtype() == DType::kBool) {
-        return data.To(DType::kInt64).ToVector<int64_t>();
-      }
-      // Rank values through Unique so float equality becomes code equality.
-      const UniqueResult uniq = Unique(data.Detach());
-      return uniq.inverse.ToVector<int64_t>();
-    }
-  }
-  return Status::Internal("unknown encoding");
-}
-
-// Normalized per-row join keys for one side: strings hash decoded values
-// (FNV-1a 64 over short strings — collisions astronomically unlikely,
-// accepted here), numerics use value bit patterns via doubles (with -0
-// normalized) so keys are code-compatible across sides. Purely row-local,
-// so morsel-wise evaluation matches whole-relation evaluation exactly.
-StatusOr<std::vector<std::vector<int64_t>>> JoinRowKeys(
-    const Chunk& chunk, const std::vector<int64_t>& cols) {
-  std::vector<std::vector<int64_t>> keys(
-      static_cast<size_t>(chunk.num_rows()),
-      std::vector<int64_t>(cols.size()));
-  for (size_t k = 0; k < cols.size(); ++k) {
-    const Column& c = chunk.columns[static_cast<size_t>(cols[k])];
-    if (c.encoding() == Encoding::kDictionary) {
-      const std::vector<std::string> strs = c.DecodeStrings();
-      ParallelFor(0, static_cast<int64_t>(strs.size()), GrainForCost(16),
-                  [&keys, &strs, k](int64_t row_begin, int64_t row_end) {
-                    for (int64_t r = row_begin; r < row_end; ++r) {
-                      uint64_t h = 0xcbf29ce484222325ull;
-                      for (char ch : strs[static_cast<size_t>(r)]) {
-                        h ^= static_cast<unsigned char>(ch);
-                        h *= 0x100000001b3ull;
-                      }
-                      keys[static_cast<size_t>(r)][k] =
-                          static_cast<int64_t>(h);
-                    }
-                  });
-    } else {
-      const Tensor vals = c.DecodeValues();
-      if (vals.dim() != 1) {
-        return Status::TypeError("join key must be a scalar column");
-      }
-      const std::vector<double> d = vals.To(DType::kFloat64).ToVector<double>();
-      ParallelFor(0, static_cast<int64_t>(d.size()), GrainForCost(2),
-                  [&keys, &d, k](int64_t row_begin, int64_t row_end) {
-                    for (int64_t r = row_begin; r < row_end; ++r) {
-                      int64_t bits;
-                      const double dv =
-                          d[static_cast<size_t>(r)] == 0.0
-                              ? 0.0
-                              : d[static_cast<size_t>(r)];  // normalize -0
-                      static_assert(sizeof(bits) == sizeof(dv));
-                      std::memcpy(&bits, &dv, sizeof(bits));
-                      keys[static_cast<size_t>(r)][k] = bits;
-                    }
-                  });
-    }
-  }
-  return keys;
 }
 
 // ---- Scan -------------------------------------------------------------------
@@ -380,6 +291,155 @@ StatusOr<Chunk> SoftFinalizeAggregate(const AggregateNode& node,
   return out;
 }
 
+// Rejects arguments no aggregate folds: strings outside COUNT, and
+// tensor-valued columns.
+Status CheckAggArguments(const AggregateNode& node, const AggInputs& inputs) {
+  for (size_t d = 0; d < node.aggregates.size(); ++d) {
+    const AggDef& def = node.aggregates[d];
+    if (!def.arg) continue;
+    const Column& arg_col = inputs.arg_columns[d];
+    if (arg_col.encoding() == Encoding::kDictionary &&
+        def.kind != AggKind::kCount) {
+      return Status::TypeError("cannot " +
+                               std::string(plan::AggKindName(def.kind)) +
+                               " a string column");
+    }
+    if (arg_col.IsTensorColumn()) {
+      return Status::TypeError("aggregate argument must be a scalar column");
+    }
+  }
+  return Status::OK();
+}
+
+// One aggregate's per-group running state. Rows fold in with `AddRows`;
+// page partials fold in page order with `Merge`.
+struct AggAccumulator {
+  AggAccumulator(AggKind kind, int64_t num_groups)
+      : kind(kind),
+        acc(static_cast<size_t>(num_groups), 0.0),
+        counts(static_cast<size_t>(num_groups), 0),
+        has(static_cast<size_t>(num_groups), 0) {}
+
+  // Folds `n` rows in order: row i into group `gid[i]` with value
+  // `args[i]` (0 when `args` is null). With DISTINCT `codes`, a row whose
+  // (group, code) pair was folded before is skipped.
+  void AddRows(int64_t n, const int64_t* gid, const double* args,
+               const int64_t* codes) {
+    for (int64_t i = 0; i < n; ++i) {
+      const size_t g = static_cast<size_t>(gid[i]);
+      if (codes != nullptr) {
+        const int64_t pair[2] = {gid[i], codes[i]};
+        if (!distinct_seen.Insert(pair).second) continue;
+      }
+      const double v = args != nullptr ? args[i] : 0.0;
+      switch (kind) {
+        case AggKind::kCountStar:
+        case AggKind::kCount:
+          break;
+        case AggKind::kSum:
+        case AggKind::kAvg:
+          acc[g] += v;
+          break;
+        case AggKind::kMin:
+          acc[g] = has[g] ? std::min(acc[g], v) : v;
+          break;
+        case AggKind::kMax:
+          acc[g] = has[g] ? std::max(acc[g], v) : v;
+          break;
+      }
+      has[g] = 1;
+      ++counts[g];
+    }
+  }
+
+  void Merge(const AggAccumulator& page) {
+    for (size_t g = 0; g < acc.size(); ++g) {
+      if (!page.has[g]) continue;
+      switch (kind) {
+        case AggKind::kCountStar:
+        case AggKind::kCount:
+          break;
+        case AggKind::kSum:
+        case AggKind::kAvg:
+          acc[g] += page.acc[g];
+          break;
+        case AggKind::kMin:
+          acc[g] = has[g] ? std::min(acc[g], page.acc[g]) : page.acc[g];
+          break;
+        case AggKind::kMax:
+          acc[g] = has[g] ? std::max(acc[g], page.acc[g]) : page.acc[g];
+          break;
+      }
+      has[g] = 1;
+      counts[g] += page.counts[g];
+    }
+  }
+
+  // The aggregate's output column values, as `dtype`.
+  Tensor Finish(DType dtype, Device device) const {
+    const int64_t num_groups = static_cast<int64_t>(acc.size());
+    Tensor result = Tensor::Zeros({num_groups}, dtype, device);
+    for (int64_t g = 0; g < num_groups; ++g) {
+      const size_t ug = static_cast<size_t>(g);
+      double v = acc[ug];
+      if (kind == AggKind::kCountStar || kind == AggKind::kCount) {
+        v = static_cast<double>(counts[ug]);
+      } else if (kind == AggKind::kAvg) {
+        v = counts[ug] > 0 ? acc[ug] / static_cast<double>(counts[ug]) : 0;
+      }
+      result.SetAt({g}, v);
+    }
+    return result;
+  }
+
+  AggKind kind;
+  std::vector<double> acc;
+  std::vector<int64_t> counts;
+  std::vector<unsigned char> has;
+  KeyTable distinct_seen{2};  // (group id, argument code)
+};
+
+// One page of an aggregate's evaluated inputs: per row its group id, and
+// per aggregate the argument doubles (empty without an argument) and the
+// DISTINCT codes (empty unless DISTINCT).
+struct AggPage {
+  std::vector<int64_t> gid;
+  std::vector<std::vector<double>> args;
+  std::vector<std::vector<int64_t>> codes;
+};
+
+// Page file layout: [rows][group ids], then per aggregate with an
+// argument [argument doubles] and, for DISTINCT, [codes].
+Status WriteAggPage(SpillWriter& w, const AggregateNode& node,
+                    const AggPage& page) {
+  TDP_RETURN_NOT_OK(w.WriteInt64(static_cast<int64_t>(page.gid.size())));
+  TDP_RETURN_NOT_OK(w.WriteInt64Span(page.gid.data(), page.gid.size()));
+  for (size_t d = 0; d < node.aggregates.size(); ++d) {
+    TDP_RETURN_NOT_OK(
+        w.WriteBytes(page.args[d].data(), page.args[d].size() * 8));
+    TDP_RETURN_NOT_OK(
+        w.WriteInt64Span(page.codes[d].data(), page.codes[d].size()));
+  }
+  return Status::OK();
+}
+
+Status ReadAggPage(SpillReader& r, const AggregateNode& node, AggPage& page) {
+  TDP_ASSIGN_OR_RETURN(const int64_t rows, r.ReadInt64());
+  const size_t n = static_cast<size_t>(rows);
+  page.gid.resize(n);
+  TDP_RETURN_NOT_OK(r.ReadInt64Span(page.gid.data(), n));
+  for (size_t d = 0; d < node.aggregates.size(); ++d) {
+    const AggDef& def = node.aggregates[d];
+    page.args[d].resize(def.arg ? n : 0);
+    page.codes[d].resize(def.arg && def.distinct ? n : 0);
+    TDP_RETURN_NOT_OK(
+        r.ReadBytes(page.args[d].data(), page.args[d].size() * 8));
+    TDP_RETURN_NOT_OK(
+        r.ReadInt64Span(page.codes[d].data(), page.codes[d].size()));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
@@ -392,86 +452,83 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
                   })) {
     return SoftFinalizeAggregate(node, inputs);
   }
+  TDP_RETURN_NOT_OK(CheckAggArguments(node, inputs));
   const int64_t rows = inputs.rows;
+  const int64_t width = static_cast<int64_t>(inputs.key_columns.size());
+  const size_t num_defs = node.aggregates.size();
+  constexpr int64_t kAggBlock = 4096;
+  const int64_t num_pages = (rows + kAggBlock - 1) / kAggBlock;
 
-  // Scratch this kernel materializes beyond the (caller-owned) evaluated
-  // inputs: key codes, argument doubles, distinct codes, and the per-row
-  // group array. Over budget -> the paged two-pass path, bit-identical.
-  if (ctx.memory != nullptr && !ctx.soft_mode && rows > 0) {
-    const int64_t scratch =
-        rows * 8 *
-        static_cast<int64_t>(inputs.key_columns.size() +
-                             node.aggregates.size() + 2);
-    if (ctx.memory->ShouldSpill(scratch)) {
-      return SpilledFinalizeAggregate(node, inputs, ctx);
+  // The kernel works in fixed 4096-row pages. Scratch it materializes
+  // beyond the (caller-owned) evaluated inputs: key codes, argument
+  // doubles, distinct codes, and the per-row group ids. Over budget the
+  // pages stream through a spill file instead and only one is resident —
+  // every step is page by page in page order, so results are bit-identical.
+  const int64_t scratch =
+      rows * 8 * static_cast<int64_t>(width + num_defs + 2);
+  const bool spill = ctx.memory != nullptr && !ctx.soft_mode && rows > 0 &&
+                     ctx.memory->ShouldSpill(scratch);
+  const ScopedReservation reservation(ctx.memory, spill ? 0 : scratch);
+  std::string path;
+  if (spill) {
+    TDP_ASSIGN_OR_RETURN(path, ctx.memory->NewSpillFile("aggpages"));
+  }
+
+  // Pass A: per page, the rows' first-seen group ids from the key table
+  // (key codes are row-local, so pages see exactly the whole-relation key
+  // equivalences) and every aggregate's argument values.
+  KeyTable groups(width);
+  std::vector<int64_t> first_row;  // per first-seen id
+  std::vector<AggPage> pages(spill ? 1 : static_cast<size_t>(num_pages));
+  std::unique_ptr<SpillWriter> writer;
+  if (spill) writer = std::make_unique<SpillWriter>(path);
+  std::vector<Column> page_keys(static_cast<size_t>(width));
+  for (int64_t p = 0; p < num_pages; ++p) {
+    TDP_RETURN_NOT_OK(CheckCancel(ctx));
+    const int64_t lo = p * kAggBlock;
+    const int64_t pn = std::min(kAggBlock, rows - lo);
+    AggPage& page = pages[spill ? 0 : static_cast<size_t>(p)];
+    for (size_t k = 0; k < page_keys.size(); ++k) {
+      page_keys[k] = inputs.key_columns[k].SliceRows(lo, pn);
     }
-  }
-  const ScopedReservation reservation(
-      ctx.memory,
-      rows * 8 *
-          static_cast<int64_t>(inputs.key_columns.size() +
-                               node.aggregates.size() + 2));
-
-  std::vector<std::vector<int64_t>> key_codes;
-  key_codes.reserve(inputs.key_columns.size());
-  for (const Column& key : inputs.key_columns) {
-    TDP_ASSIGN_OR_RETURN(std::vector<int64_t> codes, ColumnToCodes(key));
-    key_codes.push_back(std::move(codes));
-  }
-
-  // Assign group ids; order groups lexicographically by key codes (codes
-  // are order-preserving, so this sorts by value).
-  std::map<std::vector<int64_t>, int64_t> group_ids;
-  std::vector<int64_t> row_group(static_cast<size_t>(rows));
-  std::vector<int64_t> key(key_codes.size());
-  for (int64_t r = 0; r < rows; ++r) {
-    for (size_t k = 0; k < key_codes.size(); ++k) {
-      key[k] = key_codes[k][static_cast<size_t>(r)];
+    TDP_ASSIGN_OR_RETURN(const std::vector<int64_t> tuples,
+                         KeyTuples(page_keys));
+    page.gid.resize(static_cast<size_t>(pn));
+    for (int64_t i = 0; i < pn; ++i) {
+      const auto [id, inserted] = groups.Insert(tuples.data() + i * width);
+      page.gid[static_cast<size_t>(i)] = id;
+      if (inserted) first_row.push_back(lo + i);
     }
-    auto [it, inserted] = group_ids.emplace(key, 0);
-    (void)inserted;
-    row_group[static_cast<size_t>(r)] = 0;  // filled after renumbering
-  }
-  // Renumber in sorted order and record a representative row per group.
-  int64_t next_id = 0;
-  for (auto& [unused_key, id] : group_ids) id = next_id++;
-  const int64_t num_groups =
-      node.group_exprs.empty() ? 1 : next_id;
-  std::vector<int64_t> representative(
-      static_cast<size_t>(std::max<int64_t>(num_groups, 1)), -1);
-  // Group-id lookups are read-only on the finished map, so the per-row
-  // assignment shards across the pool; the representative (first row of
-  // each group) is recovered serially afterwards.
-  const auto& frozen_group_ids = group_ids;
-  ParallelFor(0, rows, GrainForCost(8), [&](int64_t row_begin,
-                                            int64_t row_end) {
-    std::vector<int64_t> local_key(key_codes.size());
-    for (int64_t r = row_begin; r < row_end; ++r) {
-      int64_t gid = 0;
-      if (!node.group_exprs.empty()) {
-        for (size_t k = 0; k < key_codes.size(); ++k) {
-          local_key[k] = key_codes[k][static_cast<size_t>(r)];
-        }
-        gid = frozen_group_ids.at(local_key);
+    page.args.assign(num_defs, {});
+    page.codes.assign(num_defs, {});
+    for (size_t d = 0; d < num_defs; ++d) {
+      const AggDef& def = node.aggregates[d];
+      if (!def.arg) continue;
+      const Column arg = inputs.arg_columns[d].SliceRows(lo, pn);
+      page.args[d] = arg.DecodeValues().To(DType::kFloat64).ToVector<double>();
+      if (def.distinct) {
+        TDP_ASSIGN_OR_RETURN(page.codes[d], KeyCodes(arg));
       }
-      row_group[static_cast<size_t>(r)] = gid;
     }
-  });
-  for (int64_t r = 0; r < rows; ++r) {
-    const size_t gid = static_cast<size_t>(row_group[static_cast<size_t>(r)]);
-    if (representative[gid] < 0) representative[gid] = r;
+    if (spill) TDP_RETURN_NOT_OK(WriteAggPage(*writer, node, page));
+  }
+  if (spill) {
+    TDP_RETURN_NOT_OK(writer->Close());
+    ctx.memory->AddSpilledBytes(writer->bytes_written());
   }
 
+  // Renumber the groups into lexicographic code order — value order,
+  // since codes preserve order — and emit each group's key columns at its
+  // first row (PE keys hard-decoded — the exact operator swap of §4).
+  const std::vector<int64_t> sorted_id = groups.SortIds();
+  const int64_t num_groups = node.group_exprs.empty() ? 1 : groups.size();
   Chunk out;
-
-  // Group key output columns: representative rows of the key columns
-  // (PE keys are hard-decoded — the exact operator swap of §4).
   if (!node.group_exprs.empty()) {
-    Tensor rep = Tensor::Empty({num_groups}, DType::kInt64, ctx.device);
-    int64_t* rp = rep.data<int64_t>();
-    for (int64_t g = 0; g < num_groups; ++g) {
-      rp[g] = representative[static_cast<size_t>(g)];
+    std::vector<int64_t> representative(first_row.size());
+    for (size_t id = 0; id < first_row.size(); ++id) {
+      representative[static_cast<size_t>(sorted_id[id])] = first_row[id];
     }
+    const Tensor rep = Tensor::FromVector(representative, {}, ctx.device);
     for (size_t k = 0; k < inputs.key_columns.size(); ++k) {
       Column key_col = inputs.key_columns[k];
       if (key_col.encoding() == Encoding::kProbability) {
@@ -481,164 +538,80 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
       out.columns.push_back(key_col.Select(rep));
     }
   }
+  const auto renumber = [&sorted_id](AggPage& page) {
+    for (int64_t& g : page.gid) g = sorted_id[static_cast<size_t>(g)];
+  };
 
-  // Aggregates.
-  for (size_t def_index = 0; def_index < node.aggregates.size(); ++def_index) {
-    const AggDef& def = node.aggregates[def_index];
-    std::vector<double> acc(static_cast<size_t>(num_groups), 0.0);
-    std::vector<int64_t> counts(static_cast<size_t>(num_groups), 0);
-
-    std::vector<double> arg_values;
-    std::vector<int64_t> arg_codes;  // for DISTINCT
-    if (def.arg) {
-      const Column& arg_col = inputs.arg_columns[def_index];
-      if (arg_col.encoding() == Encoding::kDictionary &&
-          def.kind != AggKind::kCount) {
-        return Status::TypeError("cannot " +
-                                 std::string(plan::AggKindName(def.kind)) +
-                                 " a string column");
-      }
-      const Tensor values = arg_col.DecodeValues();
-      if (values.dim() != 1) {
-        return Status::TypeError("aggregate argument must be a scalar column");
-      }
-      arg_values = values.To(DType::kFloat64).ToVector<double>();
-      if (def.distinct) {
-        TDP_ASSIGN_OR_RETURN(arg_codes, ColumnToCodes(arg_col));
-      }
-    }
-
-    std::vector<std::set<int64_t>> distinct_seen;
-    if (def.distinct) {
-      distinct_seen.resize(static_cast<size_t>(num_groups));
-    }
-
-    // Chunk-at-a-time accumulation. Rows are folded into fixed-size blocks
-    // (block partials are combined in block order), so the floating-point
-    // reduction tree depends only on the row count — results are identical
-    // for every TDP_NUM_THREADS and every morsel size (the streaming
-    // executor merges per-morsel inputs in morsel order before this
-    // accumulation, re-blocking at the same fixed boundaries). DISTINCT
-    // keeps per-group ordered sets and stays serial; high-cardinality
-    // group-bys fall back to the serial loop rather than materializing
-    // huge partial tables.
-    constexpr int64_t kAggBlock = 4096;
-    const int64_t num_blocks = (rows + kAggBlock - 1) / kAggBlock;
-    // Parallelize only when the block merge (num_blocks * num_groups
-    // entries) costs no more than the row accumulation it speeds up.
-    const bool parallel_ok =
-        !def.distinct && num_blocks > 1 && num_blocks * num_groups <= rows;
-    auto accumulate_rows = [&](int64_t row_begin, int64_t row_end,
-                               double* block_acc, int64_t* block_counts,
-                               unsigned char* block_has) {
-      for (int64_t r = row_begin; r < row_end; ++r) {
-        const size_t g =
-            static_cast<size_t>(row_group[static_cast<size_t>(r)]);
-        if (def.distinct && def.arg) {
-          if (!distinct_seen[g].insert(arg_codes[static_cast<size_t>(r)])
-                   .second) {
-            continue;
-          }
+  // Pass B: fold every aggregate page by page, in page order, so the
+  // floating-point reduction tree depends only on the row count — results
+  // are identical for every TDP_NUM_THREADS, every morsel size (the
+  // streaming executor merges per-morsel inputs in morsel order first) and
+  // every budget. An aggregate whose page merge (num_pages * num_groups
+  // entries) costs no more than its rows folds each page into a partial
+  // and merges the partials in page order; in memory those partials are
+  // computed concurrently. DISTINCT and high-cardinality aggregates fold
+  // rows serially.
+  std::vector<AggAccumulator> totals;
+  std::vector<uint8_t> by_partials(num_defs);
+  for (size_t d = 0; d < num_defs; ++d) {
+    totals.emplace_back(node.aggregates[d].kind, num_groups);
+    by_partials[d] = !node.aggregates[d].distinct && num_pages > 1 &&
+                     num_pages * num_groups <= rows;
+  }
+  const auto fold = [&](const AggPage& page, size_t d, AggAccumulator& into) {
+    into.AddRows(static_cast<int64_t>(page.gid.size()), page.gid.data(),
+                 page.args[d].empty() ? nullptr : page.args[d].data(),
+                 page.codes[d].empty() ? nullptr : page.codes[d].data());
+  };
+  if (!spill) {
+    ParallelFor(0, num_pages, GrainForCost(kAggBlock),
+                [&](int64_t begin, int64_t end) {
+                  for (int64_t p = begin; p < end; ++p) {
+                    renumber(pages[static_cast<size_t>(p)]);
+                  }
+                });
+    for (size_t d = 0; d < num_defs; ++d) {
+      if (by_partials[d]) {
+        std::vector<AggAccumulator> partials(
+            static_cast<size_t>(num_pages),
+            AggAccumulator(node.aggregates[d].kind, num_groups));
+        ParallelFor(0, num_pages, GrainForCost(kAggBlock),
+                    [&](int64_t begin, int64_t end) {
+                      for (int64_t p = begin; p < end; ++p) {
+                        fold(pages[static_cast<size_t>(p)], d,
+                             partials[static_cast<size_t>(p)]);
+                      }
+                    });
+        for (const AggAccumulator& partial : partials) {
+          totals[d].Merge(partial);
         }
-        const double v =
-            def.arg ? arg_values[static_cast<size_t>(r)] : 0.0;
-        switch (def.kind) {
-          case AggKind::kCountStar:
-          case AggKind::kCount:
-            break;
-          case AggKind::kSum:
-          case AggKind::kAvg:
-            block_acc[g] += v;
-            break;
-          case AggKind::kMin:
-            block_acc[g] = block_has[g] ? std::min(block_acc[g], v) : v;
-            break;
-          case AggKind::kMax:
-            block_acc[g] = block_has[g] ? std::max(block_acc[g], v) : v;
-            break;
-        }
-        block_has[g] = 1;
-        ++block_counts[g];
+      } else {
+        for (const AggPage& page : pages) fold(page, d, totals[d]);
       }
-    };
-
-    std::vector<unsigned char> has_flags(static_cast<size_t>(num_groups), 0);
-    if (parallel_ok) {
-      std::vector<double> blk_acc(
-          static_cast<size_t>(num_blocks * num_groups), 0.0);
-      std::vector<int64_t> blk_counts(
-          static_cast<size_t>(num_blocks * num_groups), 0);
-      std::vector<unsigned char> blk_has(
-          static_cast<size_t>(num_blocks * num_groups), 0);
-      ParallelFor(0, num_blocks, GrainForCost(kAggBlock),
-                  [&](int64_t block_begin, int64_t block_end) {
-                    for (int64_t blk = block_begin; blk < block_end; ++blk) {
-                      const int64_t lo = blk * kAggBlock;
-                      const int64_t hi = std::min(rows, lo + kAggBlock);
-                      const size_t base =
-                          static_cast<size_t>(blk * num_groups);
-                      accumulate_rows(lo, hi, blk_acc.data() + base,
-                                      blk_counts.data() + base,
-                                      blk_has.data() + base);
-                    }
-                  });
-      for (int64_t blk = 0; blk < num_blocks; ++blk) {
-        const size_t base = static_cast<size_t>(blk * num_groups);
-        for (int64_t g = 0; g < num_groups; ++g) {
-          const size_t ug = static_cast<size_t>(g);
-          if (!blk_has[base + ug]) continue;
-          switch (def.kind) {
-            case AggKind::kCountStar:
-            case AggKind::kCount:
-              break;
-            case AggKind::kSum:
-            case AggKind::kAvg:
-              acc[ug] += blk_acc[base + ug];
-              break;
-            case AggKind::kMin:
-              acc[ug] = has_flags[ug] ? std::min(acc[ug], blk_acc[base + ug])
-                                      : blk_acc[base + ug];
-              break;
-            case AggKind::kMax:
-              acc[ug] = has_flags[ug] ? std::max(acc[ug], blk_acc[base + ug])
-                                      : blk_acc[base + ug];
-              break;
-          }
-          has_flags[ug] = 1;
-          counts[ug] += blk_counts[base + ug];
-        }
-      }
-    } else {
-      accumulate_rows(0, rows, acc.data(), counts.data(), has_flags.data());
     }
-
-    // Materialize the aggregate output column with the schema's dtype.
-    const DType out_dtype =
-        node.schema[node.group_exprs.size() + def_index].dtype;
-    Tensor result = Tensor::Zeros({num_groups}, out_dtype, ctx.device);
-    for (int64_t g = 0; g < num_groups; ++g) {
-      const size_t ug = static_cast<size_t>(g);
-      double v = 0;
-      switch (def.kind) {
-        case AggKind::kCountStar:
-        case AggKind::kCount:
-          v = static_cast<double>(counts[ug]);
-          break;
-        case AggKind::kSum:
-          v = acc[ug];
-          break;
-        case AggKind::kAvg:
-          v = counts[ug] > 0 ? acc[ug] / static_cast<double>(counts[ug]) : 0;
-          break;
-        case AggKind::kMin:
-        case AggKind::kMax:
-          v = acc[ug];
-          break;
+  } else {
+    SpillReader reader(path);
+    AggPage& page = pages[0];
+    for (int64_t p = 0; p < num_pages; ++p) {
+      TDP_RETURN_NOT_OK(CheckCancel(ctx));
+      TDP_RETURN_NOT_OK(ReadAggPage(reader, node, page));
+      renumber(page);
+      for (size_t d = 0; d < num_defs; ++d) {
+        if (!by_partials[d]) {
+          fold(page, d, totals[d]);
+          continue;
+        }
+        AggAccumulator partial(node.aggregates[d].kind, num_groups);
+        fold(page, d, partial);
+        totals[d].Merge(partial);
       }
-      result.SetAt({g}, v);
     }
-    out.names.push_back(def.name);
-    out.columns.push_back(Column::Plain(std::move(result)));
+  }
+
+  for (size_t d = 0; d < num_defs; ++d) {
+    out.names.push_back(node.aggregates[d].name);
+    out.columns.push_back(Column::Plain(totals[d].Finish(
+        node.schema[node.group_exprs.size() + d].dtype, ctx.device)));
   }
   return out;
 }
@@ -668,12 +641,14 @@ StatusOr<JoinHashTable> BuildJoinHashTable(const JoinNode& node,
   JoinHashTable ht;
   ht.build = std::move(build_input);
   if (!build_key_cols.empty()) {
-    TDP_ASSIGN_OR_RETURN(auto build_keys,
-                         JoinRowKeys(ht.build, build_key_cols));
-    ht.rows.reserve(build_keys.size());
-    for (size_t r = 0; r < build_keys.size(); ++r) {
-      ht.rows[build_keys[r]].push_back(static_cast<int64_t>(r));
+    TDP_ASSIGN_OR_RETURN(
+        const JoinKeys keys,
+        MakeJoinKeys(ht.build, build_key_cols, ht.build, build_key_cols));
+    ht.rows = KeyRows(keys.width);
+    for (int64_t r = 0; r < ht.build.num_rows(); ++r) {
+      if (keys.live[static_cast<size_t>(r)]) ht.rows.Add(keys.row(r), r);
     }
+    ht.rows.Finish();
   }
   return ht;
 }
@@ -685,21 +660,23 @@ StatusOr<Chunk> ProbeJoin(const JoinNode& node, const JoinHashTable& ht,
   }
   const int64_t probe_rows = probe.num_rows();
   const int64_t build_rows = ht.build.num_rows();
+  const auto& build_key_cols =
+      node.build_left ? node.left_keys : node.right_keys;
   const auto& probe_key_cols =
       node.build_left ? node.right_keys : node.left_keys;
 
   // Matched row pairs, in probe-row-major order; matches of one probe row
-  // come out in ascending build-row order (deterministic, unlike the
-  // equal_range order of an unordered_multimap).
+  // come out in ascending build-row order.
   std::vector<int64_t> probe_idx;
   std::vector<int64_t> build_idx;
   if (!probe_key_cols.empty()) {
-    TDP_ASSIGN_OR_RETURN(auto probe_keys, JoinRowKeys(probe, probe_key_cols));
-    for (size_t r = 0; r < probe_keys.size(); ++r) {
-      const auto it = ht.rows.find(probe_keys[r]);
-      if (it == ht.rows.end()) continue;
-      for (int64_t b : it->second) {
-        probe_idx.push_back(static_cast<int64_t>(r));
+    TDP_ASSIGN_OR_RETURN(
+        const JoinKeys keys,
+        MakeJoinKeys(ht.build, build_key_cols, probe, probe_key_cols));
+    for (int64_t r = 0; r < probe_rows; ++r) {
+      if (!keys.live[static_cast<size_t>(r)]) continue;
+      for (int64_t b : ht.rows.Find(keys.row(r))) {
+        probe_idx.push_back(r);
         build_idx.push_back(b);
       }
     }
@@ -715,24 +692,24 @@ StatusOr<Chunk> ProbeJoin(const JoinNode& node, const JoinHashTable& ht,
     }
   }
 
-  // Assemble in schema order (left columns first) regardless of which
-  // side was the build: the build-side flip is invisible downstream.
-  const Chunk& left_chunk = node.build_left ? ht.build : probe;
-  const Chunk& right_chunk = node.build_left ? probe : ht.build;
-  const Tensor psel = Tensor::FromVector(probe_idx, {}, ctx.device);
-  const Tensor bsel = Tensor::FromVector(build_idx, {}, ctx.device);
-  const Tensor& lsel = node.build_left ? bsel : psel;
-  const Tensor& rsel = node.build_left ? psel : bsel;
-  Chunk joined;
-  for (size_t i = 0; i < left_chunk.columns.size(); ++i) {
-    joined.names.push_back(node.schema[i].name);
-    joined.columns.push_back(left_chunk.columns[i].Select(lsel));
-  }
-  for (size_t i = 0; i < right_chunk.columns.size(); ++i) {
-    joined.names.push_back(node.schema[left_chunk.columns.size() + i].name);
-    joined.columns.push_back(right_chunk.columns[i].Select(rsel));
-  }
+  return AssembleJoin(
+      node, ht.build.Select(Tensor::FromVector(build_idx, {}, ctx.device)),
+      probe.Select(Tensor::FromVector(probe_idx, {}, ctx.device)), ctx);
+}
 
+StatusOr<Chunk> AssembleJoin(const JoinNode& node, const Chunk& build_rows,
+                             const Chunk& probe_rows, const ExecContext& ctx) {
+  // Schema order (left columns first) regardless of which side was the
+  // build: the build-side flip is invisible downstream.
+  const Chunk& left = node.build_left ? build_rows : probe_rows;
+  const Chunk& right = node.build_left ? probe_rows : build_rows;
+  Chunk joined;
+  for (const Chunk* side : {&left, &right}) {
+    for (const Column& column : side->columns) {
+      joined.names.push_back(node.schema[joined.columns.size()].name);
+      joined.columns.push_back(column);
+    }
+  }
   if (node.residual) {
     TDP_ASSIGN_OR_RETURN(
         Tensor mask,
@@ -799,19 +776,13 @@ StatusOr<Chunk> ExecuteLimit(const LimitNode& node, const Chunk& input) {
 
 StatusOr<Chunk> ExecuteDistinct(const Chunk& input) {
   const int64_t rows = input.num_rows();
-  std::vector<std::vector<int64_t>> codes;
-  for (const Column& c : input.columns) {
-    TDP_ASSIGN_OR_RETURN(std::vector<int64_t> col_codes, ColumnToCodes(c));
-    codes.push_back(std::move(col_codes));
-  }
-  std::set<std::vector<int64_t>> seen;
+  const int64_t width = input.num_columns();
+  TDP_ASSIGN_OR_RETURN(const std::vector<int64_t> tuples,
+                       KeyTuples(input.columns));
+  KeyTable seen(width);
   std::vector<int64_t> keep;
-  std::vector<int64_t> key(codes.size());
   for (int64_t r = 0; r < rows; ++r) {
-    for (size_t k = 0; k < codes.size(); ++k) {
-      key[k] = codes[k][static_cast<size_t>(r)];
-    }
-    if (seen.insert(key).second) keep.push_back(r);
+    if (seen.Insert(tuples.data() + r * width).second) keep.push_back(r);
   }
   const Device device =
       input.columns.empty() ? Device::kCpu : input.columns[0].data().device();

@@ -1,9 +1,8 @@
 #include "src/exec/spill_kernels.h"
 
 #include <algorithm>
-#include <map>
+#include <cstring>
 #include <queue>
-#include <set>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -17,47 +16,14 @@ namespace tdp {
 namespace exec {
 namespace {
 
-using plan::AggDef;
-using plan::AggKind;
-using plan::AggregateNode;
 using plan::JoinNode;
 using plan::SortNode;
 
-EvalOptions EvalOpts(const ExecContext& ctx) {
-  EvalOptions opts;
-  opts.device = ctx.device;
-  opts.params = ctx.params;
-  opts.udf_dispatch = ctx.udf_dispatch;
-  opts.cancel = ctx.cancel;
-  return opts;
-}
-
-StatusOr<std::vector<int64_t>> TensorOrderCodes(const Tensor& values,
-                                                bool* is_float) {
-  if (values.dim() != 1) {
-    return Status::TypeError(
-        "tensor-valued columns cannot be grouping/join keys");
-  }
-  switch (values.dtype()) {
-    case DType::kInt64:
-      *is_float = false;
-      return values.ToVector<int64_t>();
-    case DType::kInt32:
-    case DType::kUInt8:
-    case DType::kBool:
-      *is_float = false;
-      return values.To(DType::kInt64).ToVector<int64_t>();
-    case DType::kFloat32:
-    case DType::kFloat64: {
-      *is_float = true;
-      const std::vector<double> d =
-          values.To(DType::kFloat64).ToVector<double>();
-      std::vector<int64_t> codes(d.size());
-      for (size_t i = 0; i < d.size(); ++i) codes[i] = DoubleOrderCode(d[i]);
-      return codes;
-    }
-  }
-  return Status::Internal("unknown dtype");
+// The grace partition of row `r`'s key: the key table's tuple hash, high
+// bits (each partition's own table probes with the low bits).
+size_t GracePartition(const JoinKeys& keys, int64_t r, int64_t parts) {
+  return static_cast<size_t>(KeyTable::Hash(keys.row(r), keys.width) >> 32) %
+         static_cast<size_t>(parts);
 }
 
 // Rows-per-run / partition-count sizing against the budget. The spill
@@ -112,19 +78,6 @@ Column WrapLike(const Column& prototype, Tensor payload) {
 
 }  // namespace
 
-StatusOr<std::vector<int64_t>> OrderPreservingCodes(const Column& column,
-                                                    bool* is_float) {
-  switch (column.encoding()) {
-    case Encoding::kDictionary:
-      *is_float = false;
-      return column.data().ToVector<int64_t>();
-    case Encoding::kProbability:
-    case Encoding::kPlain:
-      return TensorOrderCodes(column.DecodeValues(), is_float);
-  }
-  return Status::Internal("unknown encoding");
-}
-
 // ---- External merge sort ----------------------------------------------------
 
 StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
@@ -146,12 +99,11 @@ StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
     const auto& item = node.items[k];
     TDP_ASSIGN_OR_RETURN(Column key_col, EvaluateExprToColumn(
                                              *item.expr, input, EvalOpts(ctx)));
-    Tensor keys = key_col.DecodeValues();
-    if (keys.dim() != 1) {
+    if (key_col.IsTensorColumn()) {
       return Status::TypeError("ORDER BY key must be a scalar column");
     }
     bool is_float = false;
-    TDP_ASSIGN_OR_RETURN(codes[k], TensorOrderCodes(keys, &is_float));
+    TDP_ASSIGN_OR_RETURN(codes[k], KeyCodes(key_col, &is_float));
     descending[k] = item.descending ? 1 : 0;
     float_key[k] = is_float ? 1 : 0;
   }
@@ -363,7 +315,9 @@ StatusOr<std::shared_ptr<SpilledJoinBuild>> BuildSpilledJoin(
   TDP_CHECK(!build_key_cols.empty());
   const int64_t rows = build_input.num_rows();
 
-  TDP_ASSIGN_OR_RETURN(auto keys, JoinRowKeys(build_input, build_key_cols));
+  TDP_ASSIGN_OR_RETURN(
+      const JoinKeys keys,
+      MakeJoinKeys(build_input, build_key_cols, build_input, build_key_cols));
 
   const int64_t footprint = ChunkFootprintBytes(build_input) + rows * 48;
   const int64_t part_budget = std::max<int64_t>(mem->budget_bytes() / 4, 1);
@@ -372,25 +326,25 @@ StatusOr<std::shared_ptr<SpilledJoinBuild>> BuildSpilledJoin(
 
   auto build = std::make_shared<SpilledJoinBuild>();
   build->num_partitions = parts;
-  build->build_rows = rows;
   build->prototype = build_input.SliceRows(0, 0);
   build->files.resize(static_cast<size_t>(parts));
   build->partition_rows.assign(static_cast<size_t>(parts), 0);
-  build->rows.resize(static_cast<size_t>(parts));
+  build->rows.reserve(static_cast<size_t>(parts));
+  for (int64_t p = 0; p < parts; ++p) build->rows.emplace_back(keys.width);
 
   // Assign rows to partitions in build-row order: partition-local index
   // order == global build-row order, the property probe emission relies
-  // on. A key hashes to exactly one partition.
+  // on. A key hashes to exactly one partition; a row whose key matches
+  // nothing (NaN) goes to none.
   std::vector<std::vector<int64_t>> partition_sel(
       static_cast<size_t>(parts));
-  const RowKeyHash hasher;
   for (int64_t r = 0; r < rows; ++r) {
-    const size_t key_row = static_cast<size_t>(r);
-    const size_t p = hasher(keys[key_row]) % static_cast<size_t>(parts);
-    const int64_t local = build->partition_rows[p]++;
-    build->rows[p][keys[key_row]].push_back(local);
+    if (!keys.live[static_cast<size_t>(r)]) continue;
+    const size_t p = GracePartition(keys, r, parts);
+    build->rows[p].Add(keys.row(r), build->partition_rows[p]++);
     partition_sel[p].push_back(r);
   }
+  for (KeyRows& part_rows : build->rows) part_rows.Finish();
 
   // Spill each partition's payload. Partition file layout:
   //   [rows][num_pages] then per page: [page_rows][num_cols][column]...
@@ -428,9 +382,13 @@ StatusOr<std::shared_ptr<SpilledJoinBuild>> BuildSpilledJoin(
 StatusOr<Chunk> ProbeSpilledJoin(const JoinNode& node,
                                  const SpilledJoinBuild& build,
                                  const Chunk& probe, const ExecContext& ctx) {
+  const auto& build_key_cols =
+      node.build_left ? node.left_keys : node.right_keys;
   const auto& probe_key_cols =
       node.build_left ? node.right_keys : node.left_keys;
-  TDP_ASSIGN_OR_RETURN(auto probe_keys, JoinRowKeys(probe, probe_key_cols));
+  TDP_ASSIGN_OR_RETURN(const JoinKeys keys,
+                       MakeJoinKeys(build.prototype, build_key_cols, probe,
+                                    probe_key_cols));
 
   // Emission order (identical to the in-memory probe): probe-row-major,
   // matches of one probe row in ascending build-row order — which is
@@ -439,14 +397,11 @@ StatusOr<Chunk> ProbeSpilledJoin(const JoinNode& node,
   std::vector<int64_t> probe_idx;
   std::vector<int32_t> match_part;
   std::vector<int64_t> match_local;
-  const RowKeyHash hasher;
-  for (size_t r = 0; r < probe_keys.size(); ++r) {
-    const size_t p =
-        hasher(probe_keys[r]) % static_cast<size_t>(build.num_partitions);
-    const auto it = build.rows[p].find(probe_keys[r]);
-    if (it == build.rows[p].end()) continue;
-    for (int64_t local : it->second) {
-      probe_idx.push_back(static_cast<int64_t>(r));
+  for (int64_t r = 0; r < probe.num_rows(); ++r) {
+    if (!keys.live[static_cast<size_t>(r)]) continue;
+    const size_t p = GracePartition(keys, r, build.num_partitions);
+    for (int64_t local : build.rows[p].Find(keys.row(r))) {
+      probe_idx.push_back(r);
       match_part.push_back(static_cast<int32_t>(p));
       match_local.push_back(local);
     }
@@ -513,358 +468,14 @@ StatusOr<Chunk> ProbeSpilledJoin(const JoinNode& node,
     }
   }
 
-  // Assemble in schema order (left columns first), exactly like the
-  // in-memory probe.
-  Tensor psel = Tensor::FromVector(probe_idx, {}, ctx.device);
-  const Chunk probe_selected = probe.Select(psel);
-  Chunk joined;
-  const size_t left_cols = node.build_left
-                               ? build.prototype.columns.size()
-                               : probe.columns.size();
-  const auto push_build = [&](size_t schema_offset) {
-    for (size_t i = 0; i < build.prototype.columns.size(); ++i) {
-      joined.names.push_back(node.schema[schema_offset + i].name);
-      joined.columns.push_back(WrapLike(build.prototype.columns[i],
-                                        std::move(build_payloads[i])));
-    }
-  };
-  const auto push_probe = [&](size_t schema_offset) {
-    for (size_t i = 0; i < probe_selected.columns.size(); ++i) {
-      joined.names.push_back(node.schema[schema_offset + i].name);
-      joined.columns.push_back(probe_selected.columns[i]);
-    }
-  };
-  if (node.build_left) {
-    push_build(0);
-    push_probe(left_cols);
-  } else {
-    push_probe(0);
-    push_build(left_cols);
+  Chunk build_rows;
+  for (size_t i = 0; i < build.prototype.columns.size(); ++i) {
+    build_rows.columns.push_back(
+        WrapLike(build.prototype.columns[i], std::move(build_payloads[i])));
   }
-
-  if (node.residual) {
-    TDP_ASSIGN_OR_RETURN(
-        Tensor mask, EvaluatePredicate(*node.residual, joined, EvalOpts(ctx)));
-    joined = joined.Select(NonZero(mask));
-  }
-  return joined;
-}
-
-// ---- Paged two-pass aggregation ---------------------------------------------
-
-StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
-                                         const AggInputs& inputs,
-                                         const ExecContext& ctx) {
-  QueryMemory* mem = ctx.memory;
-  TDP_CHECK(mem != nullptr);
-  const int64_t rows = inputs.rows;
-  const size_t num_key_cols = inputs.key_columns.size();
-  constexpr int64_t kAggBlock = 4096;  // == the in-memory kernel's block
-  const int64_t num_blocks = (rows + kAggBlock - 1) / kAggBlock;
-
-  // Mirror the in-memory kernel's per-def argument checks up front (same
-  // first error, same message) so the spill path never writes pages for a
-  // query that would have failed in memory.
-  for (size_t d = 0; d < node.aggregates.size(); ++d) {
-    const AggDef& def = node.aggregates[d];
-    if (!def.arg) continue;
-    const Column& arg_col = inputs.arg_columns[d];
-    if (arg_col.encoding() == Encoding::kDictionary &&
-        def.kind != AggKind::kCount) {
-      return Status::TypeError("cannot " +
-                               std::string(plan::AggKindName(def.kind)) +
-                               " a string column");
-    }
-    if (arg_col.DecodeValues().dim() != 1) {
-      return Status::TypeError("aggregate argument must be a scalar column");
-    }
-  }
-  // Which defs carry an argument blob / a distinct-codes blob per page.
-  std::vector<int64_t> arg_blob(node.aggregates.size(), -1);
-  std::vector<int64_t> distinct_blob(node.aggregates.size(), -1);
-  int64_t num_arg_blobs = 0, num_distinct_blobs = 0;
-  for (size_t d = 0; d < node.aggregates.size(); ++d) {
-    if (node.aggregates[d].arg) arg_blob[d] = num_arg_blobs++;
-    if (node.aggregates[d].distinct && node.aggregates[d].arg) {
-      distinct_blob[d] = num_distinct_blobs++;
-    }
-  }
-
-  // Pass A: spill pages (key order codes + per-def argument doubles +
-  // distinct codes) while discovering groups. Order codes are row-local
-  // and globally consistent, so the page-wise map sees exactly the key
-  // equivalences (and the sorted iteration exactly the key order) the
-  // in-memory kernel derives from whole-column Unique ranks.
-  TDP_ASSIGN_OR_RETURN(std::string path, mem->NewSpillFile("aggpages"));
-  SpillWriter w(path);
-  std::map<std::vector<int64_t>, int64_t> group_ids;
-  std::vector<std::pair<const std::vector<int64_t>*, int64_t>> first_rows;
-  std::vector<int64_t> key(num_key_cols);
-  {
-    std::vector<std::vector<int64_t>> page_key_codes(num_key_cols);
-    std::vector<std::vector<double>> page_args(
-        static_cast<size_t>(num_arg_blobs));
-    std::vector<std::vector<int64_t>> page_distinct(
-        static_cast<size_t>(num_distinct_blobs));
-    for (int64_t b = 0; b < num_blocks; ++b) {
-      TDP_RETURN_NOT_OK(CheckCancel(ctx));
-      const int64_t lo = b * kAggBlock;
-      const int64_t pn = std::min(kAggBlock, rows - lo);
-      for (size_t k = 0; k < num_key_cols; ++k) {
-        bool is_float = false;
-        TDP_ASSIGN_OR_RETURN(
-            page_key_codes[k],
-            OrderPreservingCodes(inputs.key_columns[k].SliceRows(lo, pn),
-                                 &is_float));
-      }
-      for (size_t d = 0; d < node.aggregates.size(); ++d) {
-        if (arg_blob[d] >= 0) {
-          page_args[static_cast<size_t>(arg_blob[d])] =
-              inputs.arg_columns[d]
-                  .SliceRows(lo, pn)
-                  .DecodeValues()
-                  .To(DType::kFloat64)
-                  .ToVector<double>();
-        }
-        if (distinct_blob[d] >= 0) {
-          bool is_float = false;
-          TDP_ASSIGN_OR_RETURN(
-              page_distinct[static_cast<size_t>(distinct_blob[d])],
-              OrderPreservingCodes(inputs.arg_columns[d].SliceRows(lo, pn),
-                                   &is_float));
-        }
-      }
-      // Group discovery over this page, recording each group's first
-      // global row (the representative).
-      for (int64_t i = 0; i < pn; ++i) {
-        for (size_t k = 0; k < num_key_cols; ++k) {
-          key[k] = page_key_codes[k][static_cast<size_t>(i)];
-        }
-        auto [it, inserted] = group_ids.emplace(key, 0);
-        if (inserted) first_rows.emplace_back(&it->first, lo + i);
-      }
-      // Page out everything pass B needs.
-      TDP_RETURN_NOT_OK(w.WriteInt64(pn));
-      for (size_t k = 0; k < num_key_cols; ++k) {
-        TDP_RETURN_NOT_OK(w.WriteInt64Span(page_key_codes[k].data(),
-                                           static_cast<size_t>(pn)));
-      }
-      for (const auto& blob : page_args) {
-        TDP_RETURN_NOT_OK(
-            w.WriteBytes(blob.data(), static_cast<size_t>(pn) * 8));
-      }
-      for (const auto& blob : page_distinct) {
-        TDP_RETURN_NOT_OK(w.WriteInt64Span(blob.data(),
-                                           static_cast<size_t>(pn)));
-      }
-    }
-  }
-  TDP_RETURN_NOT_OK(w.Close());
-  mem->AddSpilledBytes(w.bytes_written());
-
-  // Renumber groups in sorted key order and recover representatives —
-  // the same renumbering the in-memory kernel applies.
-  int64_t next_id = 0;
-  for (auto& [unused_key, id] : group_ids) id = next_id++;
-  const int64_t num_groups = node.group_exprs.empty() ? 1 : next_id;
-  std::vector<int64_t> representative(
-      static_cast<size_t>(std::max<int64_t>(num_groups, 1)), -1);
-  for (const auto& [key_ptr, row] : first_rows) {
-    const size_t gid = node.group_exprs.empty()
-                           ? 0
-                           : static_cast<size_t>(group_ids.at(*key_ptr));
-    if (representative[gid] < 0 || row < representative[gid]) {
-      representative[gid] = row;
-    }
-  }
-
-  Chunk out;
-
-  // Group key output columns: representative rows of the (resident) key
-  // columns — verbatim the in-memory code, shared dictionaries included.
-  if (!node.group_exprs.empty()) {
-    Tensor rep = Tensor::Empty({num_groups}, DType::kInt64, ctx.device);
-    int64_t* rp = rep.data<int64_t>();
-    for (int64_t g = 0; g < num_groups; ++g) {
-      rp[g] = representative[static_cast<size_t>(g)];
-    }
-    for (size_t k = 0; k < inputs.key_columns.size(); ++k) {
-      Column key_col = inputs.key_columns[k];
-      if (key_col.encoding() == Encoding::kProbability) {
-        key_col = Column::Plain(key_col.DecodeValues());
-      }
-      out.names.push_back(node.group_names[k]);
-      out.columns.push_back(key_col.Select(rep));
-    }
-  }
-
-  // Pass B, once per aggregate: re-stream the pages, resolving each row's
-  // group through the frozen map and accumulating with the in-memory
-  // kernel's exact arithmetic. When that kernel would have parallelized
-  // (num_blocks > 1, merge cheaper than the rows), per-block partials are
-  // folded in block order — pages ARE blocks (both 4096-row, both
-  // row-aligned) — reproducing its floating-point tree op for op;
-  // otherwise rows accumulate sequentially across pages, which IS the
-  // serial tree.
-  for (size_t def_index = 0; def_index < node.aggregates.size();
-       ++def_index) {
-    const AggDef& def = node.aggregates[def_index];
-    std::vector<double> acc(static_cast<size_t>(num_groups), 0.0);
-    std::vector<int64_t> counts(static_cast<size_t>(num_groups), 0);
-    std::vector<unsigned char> has_flags(static_cast<size_t>(num_groups), 0);
-    std::vector<std::set<int64_t>> distinct_seen;
-    if (def.distinct) distinct_seen.resize(static_cast<size_t>(num_groups));
-    const bool parallel_ok =
-        !def.distinct && num_blocks > 1 && num_blocks * num_groups <= rows;
-
-    SpillReader reader(path);
-    std::vector<int64_t> page_codes;
-    std::vector<double> page_args;
-    std::vector<int64_t> page_distinct;
-    std::vector<double> blk_acc;
-    std::vector<int64_t> blk_counts;
-    std::vector<unsigned char> blk_has;
-    std::vector<int64_t> row_gid;
-    for (int64_t b = 0; b < num_blocks; ++b) {
-      TDP_RETURN_NOT_OK(CheckCancel(ctx));
-      TDP_ASSIGN_OR_RETURN(int64_t pn, reader.ReadInt64());
-      // Row group ids for this page.
-      row_gid.assign(static_cast<size_t>(pn), 0);
-      if (!node.group_exprs.empty()) {
-        page_codes.resize(static_cast<size_t>(pn) * num_key_cols);
-        TDP_RETURN_NOT_OK(reader.ReadInt64Span(page_codes.data(),
-                                               page_codes.size()));
-        for (int64_t i = 0; i < pn; ++i) {
-          for (size_t k = 0; k < num_key_cols; ++k) {
-            key[k] = page_codes[k * static_cast<size_t>(pn) +
-                                static_cast<size_t>(i)];
-          }
-          row_gid[static_cast<size_t>(i)] = group_ids.at(key);
-        }
-      } else if (num_key_cols > 0) {
-        TDP_RETURN_NOT_OK(
-            reader.Skip(static_cast<int64_t>(num_key_cols) * pn * 8));
-      }
-      // This def's argument doubles (skip the other defs' blobs).
-      if (arg_blob[def_index] >= 0) {
-        TDP_RETURN_NOT_OK(reader.Skip(arg_blob[def_index] * pn * 8));
-        page_args.resize(static_cast<size_t>(pn));
-        TDP_RETURN_NOT_OK(
-            reader.ReadBytes(page_args.data(), static_cast<size_t>(pn) * 8));
-        TDP_RETURN_NOT_OK(reader.Skip(
-            (num_arg_blobs - arg_blob[def_index] - 1) * pn * 8));
-      } else {
-        TDP_RETURN_NOT_OK(reader.Skip(num_arg_blobs * pn * 8));
-      }
-      if (distinct_blob[def_index] >= 0) {
-        TDP_RETURN_NOT_OK(reader.Skip(distinct_blob[def_index] * pn * 8));
-        page_distinct.resize(static_cast<size_t>(pn));
-        TDP_RETURN_NOT_OK(reader.ReadInt64Span(page_distinct.data(),
-                                               page_distinct.size()));
-        TDP_RETURN_NOT_OK(reader.Skip(
-            (num_distinct_blobs - distinct_blob[def_index] - 1) * pn * 8));
-      } else {
-        TDP_RETURN_NOT_OK(reader.Skip(num_distinct_blobs * pn * 8));
-      }
-
-      const auto accumulate_rows = [&](double* block_acc,
-                                       int64_t* block_counts,
-                                       unsigned char* block_has) {
-        for (int64_t i = 0; i < pn; ++i) {
-          const size_t g =
-              static_cast<size_t>(row_gid[static_cast<size_t>(i)]);
-          if (def.distinct && def.arg) {
-            if (!distinct_seen[g]
-                     .insert(page_distinct[static_cast<size_t>(i)])
-                     .second) {
-              continue;
-            }
-          }
-          const double v =
-              def.arg ? page_args[static_cast<size_t>(i)] : 0.0;
-          switch (def.kind) {
-            case AggKind::kCountStar:
-            case AggKind::kCount:
-              break;
-            case AggKind::kSum:
-            case AggKind::kAvg:
-              block_acc[g] += v;
-              break;
-            case AggKind::kMin:
-              block_acc[g] = block_has[g] ? std::min(block_acc[g], v) : v;
-              break;
-            case AggKind::kMax:
-              block_acc[g] = block_has[g] ? std::max(block_acc[g], v) : v;
-              break;
-          }
-          block_has[g] = 1;
-          ++block_counts[g];
-        }
-      };
-
-      if (parallel_ok) {
-        blk_acc.assign(static_cast<size_t>(num_groups), 0.0);
-        blk_counts.assign(static_cast<size_t>(num_groups), 0);
-        blk_has.assign(static_cast<size_t>(num_groups), 0);
-        accumulate_rows(blk_acc.data(), blk_counts.data(), blk_has.data());
-        // Fold this block's partials immediately — blocks arrive in block
-        // order, so the fold sequence equals the in-memory merge loop.
-        for (int64_t g = 0; g < num_groups; ++g) {
-          const size_t ug = static_cast<size_t>(g);
-          if (!blk_has[ug]) continue;
-          switch (def.kind) {
-            case AggKind::kCountStar:
-            case AggKind::kCount:
-              break;
-            case AggKind::kSum:
-            case AggKind::kAvg:
-              acc[ug] += blk_acc[ug];
-              break;
-            case AggKind::kMin:
-              acc[ug] =
-                  has_flags[ug] ? std::min(acc[ug], blk_acc[ug]) : blk_acc[ug];
-              break;
-            case AggKind::kMax:
-              acc[ug] =
-                  has_flags[ug] ? std::max(acc[ug], blk_acc[ug]) : blk_acc[ug];
-              break;
-          }
-          has_flags[ug] = 1;
-          counts[ug] += blk_counts[ug];
-        }
-      } else {
-        accumulate_rows(acc.data(), counts.data(), has_flags.data());
-      }
-    }
-
-    const DType out_dtype =
-        node.schema[node.group_exprs.size() + def_index].dtype;
-    Tensor result = Tensor::Zeros({num_groups}, out_dtype, ctx.device);
-    for (int64_t g = 0; g < num_groups; ++g) {
-      const size_t ug = static_cast<size_t>(g);
-      double v = 0;
-      switch (def.kind) {
-        case AggKind::kCountStar:
-        case AggKind::kCount:
-          v = static_cast<double>(counts[ug]);
-          break;
-        case AggKind::kSum:
-          v = acc[ug];
-          break;
-        case AggKind::kAvg:
-          v = counts[ug] > 0 ? acc[ug] / static_cast<double>(counts[ug]) : 0;
-          break;
-        case AggKind::kMin:
-        case AggKind::kMax:
-          v = acc[ug];
-          break;
-      }
-      result.SetAt({g}, v);
-    }
-    out.names.push_back(def.name);
-    out.columns.push_back(Column::Plain(std::move(result)));
-  }
-  return out;
+  return AssembleJoin(
+      node, build_rows,
+      probe.Select(Tensor::FromVector(probe_idx, {}, ctx.device)), ctx);
 }
 
 }  // namespace exec

@@ -1,15 +1,13 @@
 #ifndef TDP_EXEC_SPILL_KERNELS_H_
 #define TDP_EXEC_SPILL_KERNELS_H_
 
-#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/statusor.h"
+#include "src/exec/keys.h"
 #include "src/exec/operator_kernels.h"
 #include "src/exec/operators.h"
 #include "src/plan/logical_plan.h"
@@ -17,59 +15,14 @@
 namespace tdp {
 namespace exec {
 
-// Spill-to-disk (out-of-budget) variants of the three breaker kernels.
+// Spill-to-disk (out-of-budget) variants of the sort and join breakers.
 // Each produces BIT-IDENTICAL results to its in-memory sibling — the spill
-// paths re-derive the exact same row permutations, group orderings, and
-// floating-point reduction trees; only where the scratch lives changes.
-// `ExecuteSort` / `BuildJoinHashTable` / `FinalizeAggregate` dispatch here
-// when `ExecContext::memory` reports the in-memory footprint over budget.
-
-// ---- Order-preserving key codes ---------------------------------------------
-//
-// The comparator currency of every spill path: each key value maps to an
-// int64 whose signed order (and equality) matches the engine's value
-// semantics exactly —
-//   * integer-kind values (int64/int32/uint8/bool, dictionary codes) map
-//     to themselves: order and equality are trivially preserved;
-//   * float-kind values map through their double magnitude with the sign
-//     folded in (-0 normalized to +0, every NaN to one canonical code that
-//     sorts above +inf) — matching ArgSort's NaN-last comparator and
-//     Unique's SameValue equivalence (-0 == +0, all NaNs equal).
-// Crucially the mapping is ROW-LOCAL, so codes computed per spill page are
-// globally consistent — unlike `ColumnToCodes`' Unique ranks, which are
-// only meaningful relative to the whole column.
-
-/// Canonical NaN code: above every finite/inf code (NaN sorts last
-/// ascending); `CompareKeyCodes` pins NaN last under descending too.
-constexpr int64_t kNanOrderCode = 0x7ff8000000000000LL;
-
-inline int64_t DoubleOrderCode(double d) {
-  if (std::isnan(d)) return kNanOrderCode;
-  if (d == 0.0) return 0;  // -0 and +0 share a code
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  const int64_t magnitude = static_cast<int64_t>(bits & 0x7fffffffffffffffULL);
-  return (bits >> 63) != 0 ? -magnitude : magnitude;
-}
-
-/// Per-row order codes for one column (see above). `is_float` reports
-/// whether the NaN-last rule applies to this key.
-StatusOr<std::vector<int64_t>> OrderPreservingCodes(const Column& column,
-                                                    bool* is_float);
-
-/// Three-way comparison of two codes of one sort key: <0, 0, >0. NaN
-/// orders last under BOTH directions (ArgSort's comparator contract).
-inline int CompareKeyCodes(int64_t a, int64_t b, bool descending,
-                           bool is_float) {
-  if (a == b) return 0;
-  if (is_float) {
-    const bool a_nan = a == kNanOrderCode;
-    const bool b_nan = b == kNanOrderCode;
-    if (a_nan != b_nan) return a_nan ? 1 : -1;
-  }
-  if (descending) return a < b ? 1 : -1;
-  return a < b ? -1 : 1;
-}
+// paths re-derive the exact same row permutations and emission orders;
+// only where the scratch lives changes. `ExecuteSort` /
+// `BuildJoinHashTable` dispatch here when `ExecContext::memory` reports
+// the in-memory footprint over budget. (Aggregation pages its inputs
+// itself: `FinalizeAggregate` streams the same pages through a spill
+// file when over budget.)
 
 // ---- External merge sort ----------------------------------------------------
 
@@ -95,18 +48,15 @@ StatusOr<Chunk> ExternalSortChunk(const plan::SortNode& node,
 /// exactly by per-partition gathers.
 struct SpilledJoinBuild {
   int64_t num_partitions = 0;
-  int64_t build_rows = 0;
   /// 0-row zero-copy view of the build input: schema, encodings, and
   /// shared dictionary/domain metadata for assembling probe outputs.
   Chunk prototype;
   std::vector<std::string> files;      // one payload file per partition
   std::vector<int64_t> partition_rows;
-  /// Per partition: normalized key -> partition-local build rows,
-  /// ascending (local order == global build-row order by construction).
-  std::vector<
-      std::unordered_map<std::vector<int64_t>, std::vector<int64_t>,
-                         RowKeyHash>>
-      rows;
+  /// Per partition: build key tuples (`MakeJoinKeys` codes) ->
+  /// partition-local build rows, ascending (local order == global
+  /// build-row order by construction).
+  std::vector<KeyRows> rows;
 };
 
 StatusOr<std::shared_ptr<SpilledJoinBuild>> BuildSpilledJoin(
@@ -118,21 +68,6 @@ StatusOr<std::shared_ptr<SpilledJoinBuild>> BuildSpilledJoin(
 StatusOr<Chunk> ProbeSpilledJoin(const plan::JoinNode& node,
                                  const SpilledJoinBuild& build,
                                  const Chunk& probe, const ExecContext& ctx);
-
-// ---- Paged two-pass aggregation ---------------------------------------------
-
-/// Out-of-budget GROUP BY: spills the evaluated key/argument columns in
-/// 4096-row pages (aligned with the in-memory kernel's accumulation
-/// blocks), discovers groups in a first streaming pass (order codes give
-/// globally consistent group identity and order), then re-streams the
-/// pages accumulating each aggregate — folding block partials in block
-/// order exactly when the in-memory kernel would have parallelized, and
-/// sequentially otherwise — so the floating-point reduction tree is
-/// reproduced operation for operation. Never materializes the whole-
-/// relation code/argument/group arrays.
-StatusOr<Chunk> SpilledFinalizeAggregate(const plan::AggregateNode& node,
-                                         const AggInputs& inputs,
-                                         const ExecContext& ctx);
 
 }  // namespace exec
 }  // namespace tdp

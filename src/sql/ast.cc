@@ -8,7 +8,7 @@ namespace sql {
 std::string LiteralExpr::ToString() const {
   switch (literal_kind) {
     case LiteralKind::kInteger:
-      return std::to_string(static_cast<int64_t>(number_value));
+      return std::to_string(int_value);
     case LiteralKind::kFloat: {
       std::ostringstream os;
       os << number_value;

@@ -56,6 +56,7 @@ struct LiteralExpr : Expr {
   LiteralExpr() : Expr(ExprKind::kLiteral) {}
   LiteralKind literal_kind = LiteralKind::kNull;
   double number_value = 0.0;
+  int64_t int_value = 0;  // kInteger: the exact value
   std::string string_value;
   bool bool_value = false;
   std::string ToString() const override;

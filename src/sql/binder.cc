@@ -283,8 +283,7 @@ StatusOr<std::pair<LogicalNodePtr, BindScope>> BinderImpl::BindTvf(
     const auto& lit = static_cast<const LiteralExpr&>(*arg);
     switch (lit.literal_kind) {
       case LiteralKind::kInteger:
-        node->args.push_back(
-            ScalarValue::Int(static_cast<int64_t>(lit.number_value)));
+        node->args.push_back(ScalarValue::Int(lit.int_value));
         break;
       case LiteralKind::kFloat:
         node->args.push_back(ScalarValue::Float(lit.number_value));
@@ -445,7 +444,7 @@ StatusOr<BoundExprPtr> BinderImpl::BindExpr(const Expr& e,
       ScalarValue v;
       switch (lit.literal_kind) {
         case LiteralKind::kInteger:
-          v = ScalarValue::Int(static_cast<int64_t>(lit.number_value));
+          v = ScalarValue::Int(lit.int_value);
           break;
         case LiteralKind::kFloat:
           v = ScalarValue::Float(lit.number_value);

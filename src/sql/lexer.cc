@@ -2,6 +2,8 @@
 
 #include <array>
 #include <cctype>
+#include <charconv>
+#include <limits>
 
 #include "src/common/string_util.h"
 
@@ -95,6 +97,13 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& sql) {
       token.text = sql.substr(i, j - i);
       token.number_value = std::stod(token.text);
       token.is_integer = !has_dot && !has_exp;
+      if (token.is_integer &&
+          std::from_chars(token.text.data(),
+                          token.text.data() + token.text.size(),
+                          token.int_value)
+                  .ec != std::errc()) {
+        token.int_value = std::numeric_limits<int64_t>::max();
+      }
       i = j;
     } else if (c == '\'' || c == '"') {
       const char quote = c;

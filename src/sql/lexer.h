@@ -29,6 +29,8 @@ struct Token {
   std::string text;
   double number_value = 0.0;    // kNumber only
   bool is_integer = false;      // kNumber only
+  /// Exact value of an integer literal (saturated at INT64_MAX).
+  int64_t int_value = 0;
   size_t position = 0;          // byte offset for error messages
 };
 

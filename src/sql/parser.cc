@@ -507,6 +507,7 @@ class Parser {
         lit->literal_kind =
             token.is_integer ? LiteralKind::kInteger : LiteralKind::kFloat;
         lit->number_value = token.number_value;
+        lit->int_value = token.int_value;
         return ExprPtr(std::move(lit));
       }
       case TokenType::kString: {

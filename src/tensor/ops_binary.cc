@@ -178,11 +178,13 @@ void AccelCompareLoop(BinKind kind, const Tensor& a, const Tensor& b,
   }
 }
 
-// Reference backend: per-element dispatch through std::function on doubles,
+// Reference backend: per-element dispatch through std::function on
+// `Compute` values (doubles, or int64 for integer comparisons),
 // deliberately modeling an un-accelerated interpretive engine.
+template <typename Compute>
 void ReferenceLoop(const Tensor& a, const Tensor& b, Tensor& out,
                    const std::vector<int64_t>& out_shape,
-                   const std::function<double(double, double)>& f) {
+                   const std::function<double(Compute, Compute)>& f) {
   const int64_t n = out.numel();
   const std::vector<std::vector<int64_t>> strides = {
       BroadcastStrides(a.shape(), a.strides(), out_shape),
@@ -201,12 +203,35 @@ void ReferenceLoop(const Tensor& a, const Tensor& b, Tensor& out,
                     for (int64_t i = shard_begin; i < shard_end;
                          ++i, it.Next()) {
                       op[i] = static_cast<out_t>(
-                          f(static_cast<double>(ap[it.offset(0)]),
-                            static_cast<double>(bp[it.offset(1)])));
+                          f(static_cast<Compute>(ap[it.offset(0)]),
+                            static_cast<Compute>(bp[it.offset(1)])));
                     }
                   });
     });
   });
+}
+
+/// Reference comparison on `Compute` values: 1.0 when it holds.
+template <typename Compute>
+std::function<double(Compute, Compute)> ReferenceCompareFn(BinKind kind) {
+  switch (kind) {
+    case BinKind::kEq:
+      return [](Compute a, Compute b) { return a == b ? 1.0 : 0.0; };
+    case BinKind::kNe:
+      return [](Compute a, Compute b) { return a != b ? 1.0 : 0.0; };
+    case BinKind::kLt:
+      return [](Compute a, Compute b) { return a < b ? 1.0 : 0.0; };
+    case BinKind::kLe:
+      return [](Compute a, Compute b) { return a <= b ? 1.0 : 0.0; };
+    case BinKind::kGt:
+      return [](Compute a, Compute b) { return a > b ? 1.0 : 0.0; };
+    case BinKind::kGe:
+      return [](Compute a, Compute b) { return a >= b ? 1.0 : 0.0; };
+    default:
+      break;
+  }
+  TDP_LOG(Fatal) << "not a comparison kind";
+  return nullptr;
 }
 
 std::function<double(double, double)> ReferenceFn(BinKind kind) {
@@ -223,25 +248,13 @@ std::function<double(double, double)> ReferenceFn(BinKind kind) {
       return [](double a, double b) { return a >= b ? a : b; };
     case BinKind::kMin:
       return [](double a, double b) { return a <= b ? a : b; };
-    case BinKind::kEq:
-      return [](double a, double b) { return a == b ? 1.0 : 0.0; };
-    case BinKind::kNe:
-      return [](double a, double b) { return a != b ? 1.0 : 0.0; };
-    case BinKind::kLt:
-      return [](double a, double b) { return a < b ? 1.0 : 0.0; };
-    case BinKind::kLe:
-      return [](double a, double b) { return a <= b ? 1.0 : 0.0; };
-    case BinKind::kGt:
-      return [](double a, double b) { return a > b ? 1.0 : 0.0; };
-    case BinKind::kGe:
-      return [](double a, double b) { return a >= b ? 1.0 : 0.0; };
     case BinKind::kAnd:
       return [](double a, double b) { return (a != 0 && b != 0) ? 1.0 : 0.0; };
     case BinKind::kOr:
       return [](double a, double b) { return (a != 0 || b != 0) ? 1.0 : 0.0; };
+    default:
+      return ReferenceCompareFn<double>(kind);
   }
-  TDP_LOG(Fatal) << "unknown BinKind";
-  return nullptr;
 }
 
 // Computes the raw (no autograd) result of a binary op.
@@ -273,7 +286,14 @@ Tensor BinaryEval(BinKind kind, const Tensor& a0, const Tensor& b0) {
   Tensor out = Tensor::Empty(out_shape, out_dtype, device);
 
   if (device == Device::kCpu) {
-    ReferenceLoop(a, b, out, out_shape, ReferenceFn(kind));
+    // Two integer operands compare as int64: through doubles 2^53 and
+    // 2^53+1 would be equal.
+    if (IsComparison(kind) && !IsFloatingPoint(compute_dtype)) {
+      ReferenceLoop<int64_t>(a, b, out, out_shape,
+                             ReferenceCompareFn<int64_t>(kind));
+    } else {
+      ReferenceLoop<double>(a, b, out, out_shape, ReferenceFn(kind));
+    }
     return out;
   }
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -65,18 +66,24 @@ std::string NormalizeCell(double v) {
 // Renders both engines' results as sorted multisets of row strings.
 std::vector<std::string> TdpRows(const Table& table) {
   std::vector<std::string> rows;
+  // Strings and int64 cells render exactly (no trip through a double).
   std::vector<std::vector<std::string>> decoded(
       static_cast<size_t>(table.num_columns()));
   for (int64_t c = 0; c < table.num_columns(); ++c) {
-    if (table.column(c).encoding() == Encoding::kDictionary) {
-      decoded[static_cast<size_t>(c)] = table.column(c).DecodeStrings();
+    const Column& col = table.column(c);
+    if (col.encoding() == Encoding::kDictionary) {
+      decoded[static_cast<size_t>(c)] = col.DecodeStrings();
+    } else if (col.data().dtype() == DType::kInt64) {
+      for (int64_t v : col.data().ToVector<int64_t>()) {
+        decoded[static_cast<size_t>(c)].push_back(std::to_string(v));
+      }
     }
   }
   for (int64_t r = 0; r < table.num_rows(); ++r) {
     std::string row;
     for (int64_t c = 0; c < table.num_columns(); ++c) {
       const Column& col = table.column(c);
-      if (col.encoding() == Encoding::kDictionary) {
+      if (!decoded[static_cast<size_t>(c)].empty()) {
         row += decoded[static_cast<size_t>(c)][static_cast<size_t>(r)];
       } else {
         row += NormalizeCell(col.data().At({r}));
@@ -97,7 +104,7 @@ std::vector<std::string> BaselineRows(const baseline::BaselineTable& table) {
       if (std::holds_alternative<std::string>(v)) {
         row += std::get<std::string>(v);
       } else if (std::holds_alternative<int64_t>(v)) {
-        row += NormalizeCell(static_cast<double>(std::get<int64_t>(v)));
+        row += std::to_string(std::get<int64_t>(v));
       } else if (std::holds_alternative<bool>(v)) {
         row += NormalizeCell(std::get<bool>(v) ? 1 : 0);
       } else {
@@ -111,13 +118,22 @@ std::vector<std::string> BaselineRows(const baseline::BaselineTable& table) {
   return rows;
 }
 
-void ExpectAgree(Engines& engines, const std::string& sql) {
-  auto tdp_result = engines.tdp.Sql(sql);
+// Runs `sql` on both engines (TDP on `device` under `run`) and expects the
+// same rows; returns TDP's row count (-1 on failure).
+int64_t ExpectAgree(Engines& engines, const std::string& sql,
+                    Device device = Device::kAccel,
+                    const exec::RunOptions& run = {}) {
+  QueryOptions options;
+  options.device = device;
+  auto tdp_result = engines.tdp.Sql(sql, options, run);
   auto base_result = engines.base.Sql(sql);
-  ASSERT_TRUE(tdp_result.ok()) << sql << "\n" << tdp_result.status().ToString();
-  ASSERT_TRUE(base_result.ok()) << sql << "\n"
+  EXPECT_TRUE(tdp_result.ok()) << sql << "\n"
+                               << tdp_result.status().ToString();
+  EXPECT_TRUE(base_result.ok()) << sql << "\n"
                                 << base_result.status().ToString();
+  if (!tdp_result.ok() || !base_result.ok()) return -1;
   EXPECT_EQ(TdpRows(**tdp_result), BaselineRows(*base_result)) << sql;
+  return (*tdp_result)->num_rows();
 }
 
 class DifferentialTest : public ::testing::TestWithParam<uint64_t> {};
@@ -328,6 +344,236 @@ TEST(DifferentialJoinTest, JoinAgrees) {
               "SELECT t.tag, COUNT(*) FROM t JOIN u ON t.k = u.k2 GROUP BY "
               "t.tag ORDER BY t.tag");
 }
+
+
+// ---- Exact keys -------------------------------------------------------------
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+// Registers `table` in both engines, built column by column from the same
+// values.
+struct TwinTable {
+  TableBuilder builder;
+  baseline::BaselineTable base;
+
+  explicit TwinTable(const std::string& name) : builder(name) {}
+
+  TwinTable& Ints(const std::string& name, const std::vector<int64_t>& v) {
+    builder.AddInt64(name, v);
+    return Add(name, std::vector<baseline::Value>(v.begin(), v.end()));
+  }
+  TwinTable& Floats(const std::string& name, const std::vector<double>& v) {
+    builder.AddFloat64(name, v);
+    return Add(name, std::vector<baseline::Value>(v.begin(), v.end()));
+  }
+  TwinTable& Strings(const std::string& name,
+                     const std::vector<std::string>& v) {
+    builder.AddStrings(name, v);
+    return Add(name, std::vector<baseline::Value>(v.begin(), v.end()));
+  }
+  TwinTable& Add(const std::string& name,
+                 const std::vector<baseline::Value>& cells) {
+    base.column_names.push_back(name);
+    base.rows.resize(cells.size());
+    for (size_t r = 0; r < cells.size(); ++r) base.rows[r].push_back(cells[r]);
+    return *this;
+  }
+  void Register(Engines& engines, const std::string& name) {
+    auto table = std::move(builder).Build();
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    ASSERT_TRUE(engines.tdp.RegisterTable(name, table.value()).ok());
+    ASSERT_TRUE(engines.base.RegisterTable(name, std::move(base)).ok());
+  }
+};
+
+// Every execution path a keyed query can take: both devices, in memory
+// and with a 1-byte budget that forces the grace join, the paged
+// aggregation and the external sort.
+struct KeyPath {
+  Device device;
+  int64_t budget;
+  std::string label;
+};
+const std::vector<KeyPath>& KeyPaths() {
+  static const std::vector<KeyPath> paths = {
+      {Device::kCpu, 0, "cpu"},
+      {Device::kAccel, 0, "accel"},
+      {Device::kCpu, 1, "cpu budget=1"},
+      {Device::kAccel, 1, "accel budget=1"},
+  };
+  return paths;
+}
+
+exec::RunOptions BudgetRun(int64_t budget) {
+  exec::RunOptions run;
+  run.memory_budget_bytes = budget;
+  return run;
+}
+
+// Full-width int64 keys one apart at 2^53, where a double cannot tell
+// them apart: a(k) = {2^53, 2^53+1} joined with b(k) = {2^53}.
+TEST(ExactKeyTest, TwoPow53NeighboursOnEveryPath) {
+  Engines engines;
+  TwinTable("a").Ints("k", {kTwo53, kTwo53 + 1}).Register(engines, "a");
+  TwinTable("b").Ints("k", {kTwo53}).Register(engines, "b");
+  for (const KeyPath& path : KeyPaths()) {
+    SCOPED_TRACE(path.label);
+    const exec::RunOptions run = BudgetRun(path.budget);
+    EXPECT_EQ(ExpectAgree(engines, "SELECT a.k FROM a JOIN b ON a.k = b.k",
+                          path.device, run),
+              1);
+    EXPECT_EQ(ExpectAgree(engines, "SELECT k, COUNT(*) FROM a GROUP BY k",
+                          path.device, run),
+              2);
+    EXPECT_EQ(ExpectAgree(engines,
+                          "SELECT COUNT(DISTINCT k) AS n FROM a "
+                          "WHERE k > 0 AND k <> 1",
+                          path.device, run),
+              1);
+    auto distinct = engines.tdp.Sql("SELECT COUNT(DISTINCT k) FROM a",
+                                    QueryOptions{path.device}, run);
+    ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
+    EXPECT_EQ((*distinct)->column(0).data().At({0}), 2.0);
+  }
+}
+
+// Strings join by value even when the two tables' dictionaries differ
+// (different sizes, different codes for the same string).
+TEST(ExactKeyTest, StringJoinAcrossDictionaries) {
+  Engines engines;
+  TwinTable("l")
+      .Strings("s", {"fig", "apple", "kiwi", "fig", "plum"})
+      .Ints("i", {0, 1, 2, 3, 4})
+      .Register(engines, "l");
+  TwinTable("r")
+      .Strings("s", {"pear", "fig", "apple", "apple", "banana", "cherry"})
+      .Ints("j", {10, 11, 12, 13, 14, 15})
+      .Register(engines, "r");
+  for (const KeyPath& path : KeyPaths()) {
+    SCOPED_TRACE(path.label);
+    EXPECT_EQ(ExpectAgree(engines,
+                          "SELECT l.i, r.j, l.s FROM l JOIN r ON l.s = r.s",
+                          path.device, BudgetRun(path.budget)),
+              4);
+  }
+}
+
+// SQL `=`: NaN equals nothing (itself included), -0 equals +0.
+TEST(ExactKeyTest, NanAndNegativeZeroJoinKeys) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Engines engines;
+  TwinTable("l")
+      .Floats("x", {nan, -0.0, 0.0, 1.5, nan})
+      .Ints("i", {0, 1, 2, 3, 4})
+      .Register(engines, "l");
+  TwinTable("r").Floats("x", {0.0, nan, 1.5, -0.0}).Ints("j", {0, 1, 2, 3})
+      .Register(engines, "r");
+  for (const KeyPath& path : KeyPaths()) {
+    SCOPED_TRACE(path.label);
+    // {-0, +0} x {+0, -0} = 4 pairs, plus 1.5 = 1.5.
+    EXPECT_EQ(ExpectAgree(engines,
+                          "SELECT l.i, r.j FROM l JOIN r ON l.x = r.x",
+                          path.device, BudgetRun(path.budget)),
+              5);
+  }
+}
+
+// Int against float keys compare exactly: 1 = 1.0 and 2^53 = 2^53.0, but
+// 2^53+1 matches no double and 2.5 matches no int.
+TEST(ExactKeyTest, IntAgainstFloatJoinKeys) {
+  Engines engines;
+  TwinTable("l").Ints("k", {1, 2, kTwo53 + 1, kTwo53, -7})
+      .Register(engines, "l");
+  TwinTable("r")
+      .Floats("x", {1.0, 2.5, 9007199254740992.0, -7.0, 1e300})
+      .Register(engines, "r");
+  for (const KeyPath& path : KeyPaths()) {
+    SCOPED_TRACE(path.label);
+    const exec::RunOptions run = BudgetRun(path.budget);
+    EXPECT_EQ(ExpectAgree(engines,
+                          "SELECT l.k, r.x FROM l JOIN r ON l.k = r.x",
+                          path.device, run),
+              3);
+    EXPECT_EQ(ExpectAgree(engines,
+                          "SELECT l.k, r.x FROM r JOIN l ON r.x = l.k",
+                          path.device, run),
+              3);
+  }
+}
+
+// ---- Adversarial key generator ----------------------------------------------
+
+// Draws keys from the edges of every key type: 2^53 neighbours and the
+// int64 extremes, -0/+0/NaN, and strings sharing a long common prefix.
+int64_t AdversarialInt(Rng& rng) {
+  static const std::vector<int64_t> edges = {
+      kTwo53 - 1, kTwo53, kTwo53 + 1, kTwo53 + 2, -kTwo53 - 1,
+      std::numeric_limits<int64_t>::min(), std::numeric_limits<int64_t>::max(),
+      std::numeric_limits<int64_t>::max() - 1, 0, 1};
+  return edges[static_cast<size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(edges.size()) - 1))];
+}
+
+double AdversarialFloat(Rng& rng) {
+  static const std::vector<double> edges = {
+      -0.0, 0.0, std::numeric_limits<double>::quiet_NaN(), 1.0, -1.0,
+      9007199254740992.0, 0.5};
+  return edges[static_cast<size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(edges.size()) - 1))];
+}
+
+std::string AdversarialString(Rng& rng) {
+  static const std::string prefix(120, 'p');
+  static const std::vector<std::string> tails = {"", "a", "b", "ab", "aa",
+                                                 "a\x01"};
+  const int64_t last = static_cast<int64_t>(tails.size()) - 1;
+  return prefix + tails[static_cast<size_t>(rng.UniformInt(0, last))];
+}
+
+class AdversarialKeyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(AdversarialKeyTest, KeyedQueriesAgree) {
+  Rng rng(GetParam() * 7717 + 5);
+  Engines engines;
+  for (const std::string name : {"p", "q"}) {
+    const int64_t rows = rng.UniformInt(20, 60);
+    std::vector<int64_t> hk;
+    std::vector<double> f;
+    std::vector<std::string> s;
+    for (int64_t i = 0; i < rows; ++i) {
+      hk.push_back(AdversarialInt(rng));
+      f.push_back(AdversarialFloat(rng));
+      s.push_back(AdversarialString(rng));
+    }
+    TwinTable(name).Ints("hk", hk).Floats("f", f).Strings("s", s)
+        .Register(engines, name);
+  }
+  const std::vector<std::string> queries = {
+      "SELECT hk, COUNT(*) FROM p GROUP BY hk",
+      "SELECT s, COUNT(*) FROM p GROUP BY s",
+      "SELECT f, COUNT(*) FROM p GROUP BY f",
+      "SELECT hk, s, COUNT(*) FROM p GROUP BY hk, s",
+      "SELECT COUNT(DISTINCT hk), COUNT(DISTINCT f), COUNT(DISTINCT s) FROM p",
+      "SELECT DISTINCT hk, f FROM p",
+      "SELECT p.hk, q.s FROM p JOIN q ON p.hk = q.hk",
+      "SELECT p.hk, q.hk AS qk FROM p JOIN q ON p.s = q.s AND p.hk = q.hk",
+      "SELECT p.f, q.f AS qf FROM p JOIN q ON p.f = q.f",
+      "SELECT p.hk, q.f FROM p JOIN q ON p.hk = q.f",
+      "SELECT hk FROM p WHERE hk = 9007199254740993",
+      "SELECT hk FROM p WHERE hk <> 9007199254740992 AND "
+      "hk >= 9007199254740991",
+      "SELECT s FROM p WHERE f = f",
+  };
+  for (const KeyPath& path : KeyPaths()) {
+    for (const std::string& sql : queries) {
+      SCOPED_TRACE(path.label + ": " + sql);
+      ExpectAgree(engines, sql, path.device, BudgetRun(path.budget));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AdversarialKeyTest,
+                         ::testing::Range<uint64_t>(1, 7));
 
 }  // namespace
 }  // namespace tdp

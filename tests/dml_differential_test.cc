@@ -25,6 +25,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -120,6 +122,25 @@ class RefTable {
     return hit;
   }
 
+  /// Applies `fn` to every row matching `pred`; returns the match count.
+  int64_t UpdateWhere(const std::function<bool(const RefRow&)>& pred,
+                      const std::function<void(RefRow&)>& fn) {
+    int64_t hit = 0;
+    for (RefRow& row : rows_) {
+      if (pred(row)) {
+        fn(row);
+        ++hit;
+      }
+    }
+    return hit;
+  }
+
+  int64_t DeleteWhere(const std::function<bool(const RefRow&)>& pred) {
+    const size_t before = rows_.size();
+    std::erase_if(rows_, pred);
+    return static_cast<int64_t>(before - rows_.size());
+  }
+
   const std::vector<RefRow>& rows() const { return rows_; }
 
  private:
@@ -158,15 +179,13 @@ void ExpectMatchesReference(const Table& got,
                             const std::string& what) {
   ASSERT_EQ(got.num_rows(), static_cast<int64_t>(want.size())) << what;
   ASSERT_EQ(got.num_columns(), 3) << what;
-  const Tensor ids = got.column(0).data().Contiguous();
-  const Tensor vals = got.column(1).data().Contiguous();
+  // Exact int64 reads: full-width ids must not pass through a double.
+  const std::vector<int64_t> ids = got.column(0).data().ToVector<int64_t>();
+  const std::vector<int64_t> vals = got.column(1).data().ToVector<int64_t>();
   const std::vector<std::string> tags = got.column(2).DecodeStrings();
   for (size_t i = 0; i < want.size(); ++i) {
-    const int64_t row = static_cast<int64_t>(i);
-    ASSERT_EQ(static_cast<int64_t>(ids.At({row})), want[i].id)
-        << what << " row " << i;
-    ASSERT_EQ(static_cast<int64_t>(vals.At({row})), want[i].val)
-        << what << " row " << i;
+    ASSERT_EQ(ids[i], want[i].id) << what << " row " << i;
+    ASSERT_EQ(vals[i], want[i].val) << what << " row " << i;
     ASSERT_EQ(tags[i], want[i].tag) << what << " row " << i;
   }
 }
@@ -182,14 +201,14 @@ void ExpectCursorMatches(exec::ResultCursor& cursor,
     if (!chunk->has_value()) break;
     const exec::Chunk& c = **chunk;
     ASSERT_EQ(c.columns.size(), 3u) << what;
-    const Tensor ids = c.columns[0].data().Contiguous();
-    const Tensor vals = c.columns[1].data().Contiguous();
+    const std::vector<int64_t> ids = c.columns[0].data().ToVector<int64_t>();
+    const std::vector<int64_t> vals = c.columns[1].data().ToVector<int64_t>();
     const std::vector<std::string> tags = c.columns[2].DecodeStrings();
     for (int64_t i = 0; i < c.num_rows(); ++i, ++at) {
       ASSERT_LT(at, want.size()) << what << ": cursor yields extra rows";
-      ASSERT_EQ(static_cast<int64_t>(ids.At({i})), want[at].id)
+      ASSERT_EQ(ids[static_cast<size_t>(i)], want[at].id)
           << what << " row " << at;
-      ASSERT_EQ(static_cast<int64_t>(vals.At({i})), want[at].val)
+      ASSERT_EQ(vals[static_cast<size_t>(i)], want[at].val)
           << what << " row " << at;
       ASSERT_EQ(tags[static_cast<size_t>(i)], want[at].tag)
           << what << " row " << at;
@@ -337,6 +356,99 @@ TEST_P(DmlDifferentialTest, RandomDmlAgreesWithReferenceAtEveryStep) {
     auto table = session.catalog().GetTable("t");
     ASSERT_TRUE(table.ok());
     EXPECT_GT((*table)->num_physical_rows(), 0);
+  }
+}
+
+// Adversarial keys through DML: ids at the 2^53 neighbours and near the
+// int64 extremes, tags sharing a 120-byte prefix. Equality predicates must
+// hit exactly the reference's rows (through a double 2^53 and 2^53+1 are
+// one value) and read-backs must return the exact ids. (INT64_MIN itself
+// has no SQL literal: `-9223372036854775808` negates an out-of-range
+// integer.)
+int64_t AdversarialId(Rng& rng) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  static const std::vector<int64_t> edges = {
+      kTwo53 - 1, kTwo53, kTwo53 + 1, kTwo53 + 2, -kTwo53 - 1,
+      std::numeric_limits<int64_t>::min() + 1,
+      std::numeric_limits<int64_t>::max(),
+      std::numeric_limits<int64_t>::max() - 1, 0};
+  return edges[static_cast<size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(edges.size()) - 1))];
+}
+
+std::string AdversarialTag(Rng& rng) {
+  static const std::string prefix(120, 'p');
+  static const std::vector<std::string> tails = {"", "a", "b", "ab", "aa"};
+  const int64_t last = static_cast<int64_t>(tails.size()) - 1;
+  return prefix + tails[static_cast<size_t>(rng.UniformInt(0, last))];
+}
+
+TEST_P(DmlDifferentialTest, AdversarialKeysAgreeWithReference) {
+  const uint64_t seed = GetParam();
+  Rng rng(0xAD5'0000 + seed);
+  const std::vector<ExecConfig> configs = Sweep();
+  Session session;
+  ASSERT_TRUE(
+      session.Sql("CREATE TABLE t (id INT, val INT, tag TEXT)").ok());
+  RefTable ref;
+  constexpr int kSteps = 16;
+  for (int step = 0; step < kSteps; ++step) {
+    const ExecConfig& config = configs[static_cast<size_t>(step) %
+                                       configs.size()];
+    const std::string what = "seed " + std::to_string(seed) + " step " +
+                             std::to_string(step) + " [" + config.label +
+                             "]";
+    const int64_t id = AdversarialId(rng);
+    const std::string tag = AdversarialTag(rng);
+    const int64_t op = step < 4 ? 0 : rng.UniformInt(0, 3);
+    int64_t got = 0;
+    int64_t want = 0;
+    if (op == 0) {  // INSERT a few adversarial rows
+      std::vector<RefRow> fresh;
+      std::string sql = "INSERT INTO t VALUES ";
+      for (int64_t i = 0; i < 4; ++i) {
+        RefRow row{AdversarialId(rng), step * 10 + i, AdversarialTag(rng)};
+        if (i > 0) sql += ", ";
+        sql += "(" + std::to_string(row.id) + ", " + std::to_string(row.val) +
+               ", '" + row.tag + "')";
+        fresh.push_back(std::move(row));
+      }
+      got = RunDml(session, sql, config);
+      want = ref.InsertRows(fresh);
+    } else if (op == 1) {  // UPDATE by exact id
+      got = RunDml(session,
+                   "UPDATE t SET val = val + 1000 WHERE id = " +
+                       std::to_string(id),
+                   config);
+      want = ref.UpdateWhere([id](const RefRow& r) { return r.id == id; },
+                             [](RefRow& r) { r.val += 1000; });
+    } else if (op == 2) {  // UPDATE by long-prefix tag
+      const std::string to = AdversarialTag(rng);
+      got = RunDml(session,
+                   "UPDATE t SET tag = '" + to + "' WHERE tag = '" + tag + "'",
+                   config);
+      want = ref.UpdateWhere([&tag](const RefRow& r) { return r.tag == tag; },
+                             [&to](RefRow& r) { r.tag = to; });
+    } else {  // DELETE by exact id
+      got = RunDml(session, "DELETE FROM t WHERE id = " + std::to_string(id),
+                   config);
+      want = ref.DeleteWhere([id](const RefRow& r) { return r.id == id; });
+    }
+    ASSERT_EQ(got, want) << what << ": rows_affected diverged";
+
+    std::vector<std::shared_ptr<Table>> results;
+    for (const ExecConfig& read : configs) {
+      auto r = session.Sql("SELECT id, val, tag FROM t", {}, MakeRun(read));
+      ASSERT_TRUE(r.ok()) << what << " read [" << read.label
+                          << "]: " << r.status().ToString();
+      results.push_back(*r);
+    }
+    ExpectMatchesReference(*results[0], ref.rows(), what);
+    for (size_t i = 1; i < results.size(); ++i) {
+      testutil::ExpectTablesBitIdentical(
+          *results[0], *results[i],
+          what + " vs read config " + configs[i].label);
+    }
   }
 }
 

@@ -303,6 +303,56 @@ TEST(PrimitiveCacheUnitTest, CacheableExprRejectsParameters) {
   EXPECT_FALSE(exec::CacheableExpr(cmp));
 }
 
+// ---- Exact integer compares -------------------------------------------------
+
+// Integer operands compare as int64 on both backends. The kCpu reference
+// backend used to route them through double, where 2^53 and 2^53+1 are
+// one value: `WHERE k = 9007199254740993` returned 2 rows there, 1 on
+// kAccel.
+TEST(ExactCompareTest, FullWidthInt64OnBothBackends) {
+  const int64_t two53 = int64_t{1} << 53;
+  for (Device device : kDevices) {
+    SCOPED_TRACE(device == Device::kCpu ? "cpu" : "accel");
+    const Tensor col = Tensor::FromVector<int64_t>(
+        {two53, two53 + 1, kInt64Max, kInt64Max - 1}, {}, device);
+    const Tensor lit = Tensor::FromVector<int64_t>({two53 + 1}, {}, device);
+    EXPECT_EQ(Eq(col, lit).To(DType::kInt64).ToVector<int64_t>(),
+              (std::vector<int64_t>{0, 1, 0, 0}));
+    EXPECT_EQ(Gt(col, lit).To(DType::kInt64).ToVector<int64_t>(),
+              (std::vector<int64_t>{0, 0, 1, 1}));
+  }
+
+  Session session;
+  auto table = TableBuilder("t")
+                   .AddInt64("k", {two53, two53 + 1, kInt64Max, kInt64Max - 1})
+                   .Build();
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(session.RegisterTable("t", table.value()).ok());
+  const auto rows_of = [&](const std::string& sql, Device device) {
+    QueryOptions options;
+    options.device = device;
+    auto result = session.Sql(sql, options);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    return result.ok() ? (*result)->column(0).data().ToVector<int64_t>()
+                       : std::vector<int64_t>{};
+  };
+  for (const bool fused : {false, true}) {
+    const bool saved = exec::SetFusedEvalEnabled(fused);
+    for (Device device : kDevices) {
+      SCOPED_TRACE(std::string(device == Device::kCpu ? "cpu" : "accel") +
+                   (fused ? " fused" : " unfused"));
+      EXPECT_EQ(rows_of("SELECT k FROM t WHERE k = 9007199254740993", device),
+                (std::vector<int64_t>{two53 + 1}));
+      EXPECT_EQ(rows_of("SELECT k FROM t WHERE k > 9007199254740992", device),
+                (std::vector<int64_t>{two53 + 1, kInt64Max, kInt64Max - 1}));
+      EXPECT_EQ(rows_of("SELECT k FROM t WHERE k = 9223372036854775807",
+                        device),
+                (std::vector<int64_t>{kInt64Max}));
+    }
+    exec::SetFusedEvalEnabled(saved);
+  }
+}
+
 // ---- Fused filter+project parity ------------------------------------------
 
 /// Flips the process-wide fusion knob for one scope.

@@ -165,7 +165,9 @@ TEST_P(PropertyTest, SortUniqueInvariants) {
   int64_t total = 0;
   for (int64_t i = 0; i < uniq.counts.numel(); ++i) {
     total += static_cast<int64_t>(uniq.counts.At({i}));
-    if (i > 0) EXPECT_LT(uniq.values.At({i - 1}), uniq.values.At({i}));
+    if (i > 0) {
+      EXPECT_LT(uniq.values.At({i - 1}), uniq.values.At({i}));
+    }
   }
   EXPECT_EQ(total, n);
   EXPECT_TRUE(TensorEqual(IndexSelect(uniq.values, 0, uniq.inverse), t));

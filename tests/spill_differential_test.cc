@@ -73,6 +73,7 @@ void ExpectTablesByteIdentical(const Table& a, const Table& b,
     ASSERT_EQ(ta.dtype(), tb.dtype()) << what << " column " << c;
     ASSERT_EQ(ta.shape(), tb.shape()) << what << " column " << c;
     const int64_t bytes = ta.numel() * DTypeSize(ta.dtype());
+    if (bytes == 0) continue;  // an empty payload may have no buffer
     EXPECT_EQ(std::memcmp(exec::TensorRawBytes(ta), exec::TensorRawBytes(tb),
                           static_cast<size_t>(bytes)),
               0)
@@ -83,6 +84,33 @@ void ExpectTablesByteIdentical(const Table& a, const Table& b,
 // ---- Seeded data ------------------------------------------------------------
 
 constexpr int64_t kRows = 3000;
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+// Key generators reaching the edges of every key type.
+int64_t AdversarialInt(Rng& rng) {
+  static const std::vector<int64_t> edges = {
+      kTwo53 - 1, kTwo53, kTwo53 + 1, kTwo53 + 2, -kTwo53 - 1,
+      std::numeric_limits<int64_t>::min(), std::numeric_limits<int64_t>::max(),
+      std::numeric_limits<int64_t>::max() - 1, 0, 1};
+  return edges[static_cast<size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(edges.size()) - 1))];
+}
+
+double AdversarialFloat(Rng& rng) {
+  static const std::vector<double> edges = {
+      -0.0, 0.0, std::numeric_limits<double>::quiet_NaN(), 1.0, -1.0,
+      9007199254740992.0, 0.5};
+  return edges[static_cast<size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(edges.size()) - 1))];
+}
+
+std::string AdversarialString(Rng& rng) {
+  static const std::string prefix(120, 'p');
+  static const std::vector<std::string> tails = {"", "a", "b", "ab", "aa",
+                                                 "a\x01"};
+  const int64_t last = static_cast<int64_t>(tails.size()) - 1;
+  return prefix + tails[static_cast<size_t>(rng.UniformInt(0, last))];
+}
 
 void RegisterTables(Session& session, uint64_t seed) {
   Rng rng(seed);
@@ -110,12 +138,27 @@ void RegisterTables(Session& session, uint64_t seed) {
     tag[i] = tags[rng.UniformInt(0, static_cast<int64_t>(tags.size()) - 1)];
     grp[i] = grps[rng.UniformInt(0, static_cast<int64_t>(grps.size()) - 1)];
   }
+  // Adversarial keys from their own stream (the columns above stay as
+  // they were): 2^53 neighbours and the int64 extremes, -0/NaN/2^53.0
+  // floats, and strings sharing a long common prefix.
+  Rng edge_rng(seed ^ 0xadd5eed);
+  std::vector<int64_t> hk(kRows);
+  std::vector<double> fx(kRows);
+  std::vector<std::string> lp(kRows);
+  for (int64_t i = 0; i < kRows; ++i) {
+    hk[i] = AdversarialInt(edge_rng);
+    fx[i] = AdversarialFloat(edge_rng);
+    lp[i] = AdversarialString(edge_rng);
+  }
   auto rows = TableBuilder("rows")
                   .AddInt64("id", id)
                   .AddInt64("val", val)
                   .AddFloat64("score", score)
                   .AddStrings("tag", tag)
                   .AddStrings("grp", grp)
+                  .AddInt64("hk", hk)
+                  .AddFloat64("fx", fx)
+                  .AddStrings("lp", lp)
                   .Build();
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_TRUE(session.RegisterTable("rows", rows.value()).ok());
@@ -129,6 +172,27 @@ void RegisterTables(Session& session, uint64_t seed) {
                   .Build();
   ASSERT_TRUE(dims.ok()) << dims.status().ToString();
   ASSERT_TRUE(session.RegisterTable("dims", dims.value()).ok());
+
+  // A second adversarial table for joins: its string dictionary differs
+  // from `rows`' (fewer, differently coded strings).
+  constexpr int64_t kEdgeRows = 40;
+  std::vector<int64_t> khk(kEdgeRows), w(kEdgeRows);
+  std::vector<double> kfx(kEdgeRows);
+  std::vector<std::string> klp(kEdgeRows);
+  for (int64_t i = 0; i < kEdgeRows; ++i) {
+    khk[i] = AdversarialInt(edge_rng);
+    kfx[i] = AdversarialFloat(edge_rng);
+    klp[i] = AdversarialString(edge_rng);
+    w[i] = i;
+  }
+  auto edges = TableBuilder("edges")
+                   .AddInt64("hk", khk)
+                   .AddFloat64("fx", kfx)
+                   .AddStrings("lp", klp)
+                   .AddInt64("w", w)
+                   .Build();
+  ASSERT_TRUE(edges.ok()) << edges.status().ToString();
+  ASSERT_TRUE(session.RegisterTable("edges", edges.value()).ok());
 }
 
 // The query battery. Join probe order, aggregate group order, and sort
@@ -159,6 +223,21 @@ const std::vector<std::string>& Queries() {
       // DISTINCT rides the same breaker infrastructure downstream of a
       // budgeted sort.
       "SELECT DISTINCT tag, grp FROM rows ORDER BY tag, grp",
+      // Adversarial keys (see AdversarialInt & co.): group ids, DISTINCT
+      // and every join key kind — int, string across two dictionaries,
+      // float with NaN/-0, int against float — plus an int64 sort key.
+      "SELECT hk, lp, COUNT(*) AS n, COUNT(DISTINCT fx) AS df FROM rows "
+      "GROUP BY hk, lp",
+      "SELECT fx, COUNT(*) AS n, COUNT(DISTINCT hk) AS dh FROM rows "
+      "GROUP BY fx",
+      "SELECT DISTINCT lp, hk FROM rows",
+      "SELECT r.id, e.w FROM rows r JOIN edges e ON r.hk = e.hk",
+      "SELECT r.id, e.w FROM rows r JOIN edges e ON r.lp = e.lp "
+      "WHERE r.val > 500",
+      "SELECT r.id, e.w FROM rows r JOIN edges e ON r.fx = e.fx "
+      "WHERE r.val > 500",
+      "SELECT r.id, e.w FROM rows r JOIN edges e ON r.hk = e.fx",
+      "SELECT hk, id FROM rows ORDER BY hk DESC, id",
   };
   return queries;
 }

@@ -1,10 +1,11 @@
 // Unit coverage for the spill-to-disk breaker machinery: the per-query
-// memory accounting (`QueryMemory`), the exact binary spill serialization
-// (`SpillWriter`/`SpillReader`), and the order-preserving key codes the
-// external sort merges on. The end-to-end bit-identity proof — budgeted
-// runs vs unlimited references across executors and morsel sizes — lives
-// in spill_differential_test.cc; this suite pins the pieces in isolation
-// so a differential failure there localizes quickly.
+// memory accounting (`QueryMemory`) and the exact binary spill
+// serialization (`SpillWriter`/`SpillReader`); the order-preserving key
+// codes the external sort merges on are pinned in keys_test.cc. The
+// end-to-end bit-identity proof — budgeted runs vs unlimited references
+// across executors and morsel sizes — lives in spill_differential_test.cc;
+// this suite pins the pieces in isolation so a differential failure there
+// localizes quickly.
 
 #include <gtest/gtest.h>
 
@@ -223,78 +224,6 @@ TEST(SpillSerializationTest, UndefinedColumnRoundTrips) {
   auto back = r.ReadColumn();
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_FALSE(back.value().defined());
-}
-
-// ---- Order-preserving key codes ---------------------------------------------
-
-TEST(OrderCodeTest, DoubleOrderCodeIsMonotone) {
-  const double inf = std::numeric_limits<double>::infinity();
-  // Strictly increasing doubles must map to strictly increasing codes.
-  const std::vector<double> ascending = {
-      -inf,  -1e300, -2.5, -1.0, -1e-300, 0.0, 1e-300, 0.5, 1.0, 1e300, inf};
-  for (size_t i = 1; i < ascending.size(); ++i) {
-    EXPECT_LT(DoubleOrderCode(ascending[i - 1]), DoubleOrderCode(ascending[i]))
-        << ascending[i - 1] << " vs " << ascending[i];
-  }
-}
-
-TEST(OrderCodeTest, NegativeZeroTiesPositiveZero) {
-  // The in-memory ArgSort comparator cannot distinguish -0 from +0, so the
-  // spill codes must tie them too or sort stability would diverge.
-  EXPECT_EQ(DoubleOrderCode(-0.0), DoubleOrderCode(0.0));
-}
-
-TEST(OrderCodeTest, AllNansShareOneCode) {
-  const double qnan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(DoubleOrderCode(qnan), kNanOrderCode);
-  EXPECT_EQ(DoubleOrderCode(-qnan), kNanOrderCode);
-}
-
-TEST(OrderCodeTest, CompareKeyCodesNanLastBothDirections) {
-  const int64_t one = DoubleOrderCode(1.0);
-  // Ascending: 1.0 before NaN.
-  EXPECT_LT(CompareKeyCodes(one, kNanOrderCode, /*descending=*/false,
-                            /*is_float=*/true),
-            0);
-  // Descending: 1.0 STILL before NaN (NaN is last in both directions,
-  // matching the in-memory comparator).
-  EXPECT_LT(CompareKeyCodes(one, kNanOrderCode, /*descending=*/true,
-                            /*is_float=*/true),
-            0);
-  EXPECT_EQ(CompareKeyCodes(kNanOrderCode, kNanOrderCode, true, true), 0);
-  // Plain integers invert under descending.
-  EXPECT_GT(CompareKeyCodes(1, 2, /*descending=*/true, /*is_float=*/false), 0);
-  EXPECT_LT(CompareKeyCodes(1, 2, /*descending=*/false, /*is_float=*/false),
-            0);
-}
-
-TEST(OrderCodeTest, OrderPreservingCodesMatchColumnOrder) {
-  Column dict = Column::FromStrings({"b", "a", "c", "a"});
-  bool is_float = true;
-  auto dict_codes = OrderPreservingCodes(dict, &is_float);
-  ASSERT_TRUE(dict_codes.ok());
-  EXPECT_FALSE(is_float);  // dictionary codes follow integer rules
-  EXPECT_EQ(dict_codes.value(), (std::vector<int64_t>{1, 0, 2, 0}));
-
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  Column floats =
-      Column::Plain(Tensor::FromVector<double>({2.0, -1.0, nan, -0.0}));
-  auto float_codes = OrderPreservingCodes(floats, &is_float);
-  ASSERT_TRUE(float_codes.ok());
-  EXPECT_TRUE(is_float);
-  const auto& codes = float_codes.value();
-  EXPECT_GT(codes[0], codes[3]);            // 2.0 > -0
-  EXPECT_LT(codes[1], codes[3]);            // -1 < -0
-  EXPECT_EQ(codes[2], kNanOrderCode);       // NaN sentinel
-  EXPECT_EQ(codes[3], 0);                   // -0 normalizes to +0's code
-}
-
-TEST(OrderCodeTest, TensorColumnsRejectedAsKeys) {
-  Column images = Column::Plain(Tensor::Zeros({3, 2, 2}));
-  bool is_float = false;
-  auto codes = OrderPreservingCodes(images, &is_float);
-  EXPECT_FALSE(codes.ok());
-  EXPECT_EQ(codes.status().code(), StatusCode::kTypeError);
 }
 
 // ---- RunOptions validation + end-to-end leak oracle -------------------------

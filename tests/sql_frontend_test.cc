@@ -46,6 +46,18 @@ TEST(LexerTest, CommentsAndNumbers) {
   EXPECT_DOUBLE_EQ((*tokens)[2].number_value, 0.5);
 }
 
+TEST(LexerTest, IntegerLiteralsAreExact) {
+  // 2^53+1 has no double; the literal keeps its exact int64 value, and an
+  // integer beyond int64 saturates instead of overflowing.
+  auto tokens =
+      Tokenize("9007199254740993 9223372036854775807 99999999999999999999");
+  ASSERT_TRUE(tokens.ok());
+  EXPECT_EQ((*tokens)[0].int_value, 9007199254740993LL);
+  EXPECT_EQ((*tokens)[1].int_value, 9223372036854775807LL);
+  EXPECT_TRUE((*tokens)[2].is_integer);
+  EXPECT_EQ((*tokens)[2].int_value, 9223372036854775807LL);
+}
+
 TEST(LexerTest, Errors) {
   EXPECT_FALSE(Tokenize("SELECT 'unterminated").ok());
   EXPECT_FALSE(Tokenize("SELECT a ! b").ok());
