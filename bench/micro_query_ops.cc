@@ -91,6 +91,42 @@ void BM_TopKQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKQuery)->Arg(0)->Arg(1);
 
+// A full two-key ORDER BY: heavy ties on k break by v.
+void BM_SortQuery(benchmark::State& state) {
+  QueryBench bench(1 << 14);
+  QueryOptions options;
+  options.device = ArgDevice(state);
+  auto query =
+      bench.session.Query("SELECT k, v FROM t ORDER BY k, v DESC", options);
+  TDP_CHECK(query.ok());
+  for (auto _ : state) {
+    auto result = (*query)->RunChunk();
+    TDP_CHECK(result.ok());
+    benchmark::DoNotOptimize(result->num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * (1 << 14));
+}
+BENCHMARK(BM_SortQuery)->Arg(0)->Arg(1);
+
+// Two-key top-k over 2^19 rows at 1 vs N threads: the per-block winners
+// are picked on the pool (results are identical across thread counts).
+void BM_TopKQueryLarge(benchmark::State& state) {
+  ScopedNumThreads guard(static_cast<int>(state.range(0)));
+  QueryBench bench(1 << 19);
+  QueryOptions options;
+  options.device = Device::kAccel;
+  auto query = bench.session.Query(
+      "SELECT k, v FROM t ORDER BY k DESC, v LIMIT 100", options);
+  TDP_CHECK(query.ok());
+  for (auto _ : state) {
+    auto result = (*query)->RunChunk();
+    TDP_CHECK(result.ok());
+    benchmark::DoNotOptimize(result->num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * (1 << 19));
+}
+BENCHMARK(BM_TopKQueryLarge)->Arg(1)->Arg(4);
+
 void BM_JoinQuery(benchmark::State& state) {
   QueryBench bench(1 << 12);
   Rng rng(23);

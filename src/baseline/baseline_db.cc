@@ -77,6 +77,23 @@ std::partial_ordering CompareIntDouble(int64_t i, double d) {
   return 0.0 <=> d - whole;
 }
 
+bool IsNan(const Value& v) {
+  return std::holds_alternative<double>(v) && std::isnan(std::get<double>(v));
+}
+
+// ORDER BY's order of one key's values, three-way (<0: `a` first): NaN
+// last in both directions, -0 equal to +0, int64 exact, numbers before
+// strings. The engine orders rows the same way.
+int OrderByCompare(const Value& a, const Value& b, bool descending) {
+  const bool a_nan = IsNan(a);
+  if (a_nan || IsNan(b)) return a_nan == IsNan(b) ? 0 : (a_nan ? 1 : -1);
+  const bool a_str = std::holds_alternative<std::string>(a);
+  if (a_str != std::holds_alternative<std::string>(b)) return a_str ? 1 : -1;
+  const std::partial_ordering c = ValueCompare(a, b);
+  if (c == 0) return 0;
+  return (c < 0) != descending ? -1 : 1;
+}
+
 }  // namespace
 
 std::partial_ordering ValueCompare(const Value& a, const Value& b) {
@@ -148,6 +165,25 @@ struct RowScope {
     return found;
   }
 };
+
+// Stable-sorts `rows` by their ORDER BY `keys` (one tuple per row).
+void SortByKeys(const std::vector<sql::OrderByItem>& order_by,
+                const std::vector<std::vector<Value>>& keys,
+                std::vector<std::vector<Value>>& rows) {
+  std::vector<size_t> order(rows.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    for (size_t k = 0; k < order_by.size(); ++k) {
+      const int c =
+          OrderByCompare(keys[a][k], keys[b][k], order_by[k].descending);
+      if (c != 0) return c < 0;
+    }
+    return false;
+  });
+  std::vector<std::vector<Value>> sorted;
+  for (size_t i : order) sorted.push_back(std::move(rows[i]));
+  rows = std::move(sorted);
+}
 
 class Executor {
  public:
@@ -569,8 +605,6 @@ StatusOr<BaselineTable> Executor::Execute(const SelectStatement& stmt) {
     }
     // ORDER BY may reference aggregates: keep group rows for sorting.
     if (!stmt.order_by.empty()) {
-      std::vector<size_t> order(projected.size());
-      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
       // Precompute sort keys.
       std::vector<std::vector<Value>> keys(projected.size());
       for (size_t i = 0; i < projected.size(); ++i) {
@@ -582,18 +616,7 @@ StatusOr<BaselineTable> Executor::Execute(const SelectStatement& stmt) {
           keys[i].push_back(std::move(v).value());
         }
       }
-      std::stable_sort(order.begin(), order.end(),
-                       [&](size_t a, size_t b) {
-                         for (size_t k = 0; k < stmt.order_by.size(); ++k) {
-                           const bool desc = stmt.order_by[k].descending;
-                           if (ValueLess(keys[a][k], keys[b][k])) return !desc;
-                           if (ValueLess(keys[b][k], keys[a][k])) return desc;
-                         }
-                         return false;
-                       });
-      std::vector<std::vector<Value>> sorted;
-      for (size_t i : order) sorted.push_back(std::move(projected[i]));
-      projected = std::move(sorted);
+      SortByKeys(stmt.order_by, keys, projected);
     }
   } else {
     // Plain projection.
@@ -628,8 +651,6 @@ StatusOr<BaselineTable> Executor::Execute(const SelectStatement& stmt) {
       projected.push_back(std::move(out_row));
     }
     if (!stmt.order_by.empty()) {
-      std::vector<size_t> order(projected.size());
-      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
       std::vector<std::vector<Value>> keys(projected.size());
       for (size_t i = 0; i < projected.size(); ++i) {
         for (const auto& o : stmt.order_by) {
@@ -641,18 +662,7 @@ StatusOr<BaselineTable> Executor::Execute(const SelectStatement& stmt) {
           keys[i].push_back(std::move(v).value());
         }
       }
-      std::stable_sort(order.begin(), order.end(),
-                       [&](size_t a, size_t b) {
-                         for (size_t k = 0; k < stmt.order_by.size(); ++k) {
-                           const bool desc = stmt.order_by[k].descending;
-                           if (ValueLess(keys[a][k], keys[b][k])) return !desc;
-                           if (ValueLess(keys[b][k], keys[a][k])) return desc;
-                         }
-                         return false;
-                       });
-      std::vector<std::vector<Value>> sorted;
-      for (size_t i : order) sorted.push_back(std::move(projected[i]));
-      projected = std::move(sorted);
+      SortByKeys(stmt.order_by, keys, projected);
     }
   }
 

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <numeric>
 #include <string>
+#include <type_traits>
 
+#include "src/common/logging.h"
+#include "src/common/thread_pool.h"
+#include "src/tensor/dispatch.h"
 #include "src/tensor/dtype.h"
 
 namespace tdp {
@@ -65,20 +69,27 @@ StatusOr<std::vector<int64_t>> KeyCodes(const Column& column, bool* is_float) {
   if (column.encoding() == Encoding::kDictionary) {
     codes = column.data().ToVector<int64_t>();
   } else {
-    const Tensor values = column.DecodeValues();
+    const Tensor values = column.DecodeValues().Detach().Contiguous();
     if (values.dim() != 1) {
       return Status::TypeError(
           "tensor-valued columns cannot be grouping/join keys");
     }
     floating = IsFloatingPoint(values.dtype());
-    if (floating) {
-      const std::vector<double> d =
-          values.To(DType::kFloat64).ToVector<double>();
-      codes.resize(d.size());
-      for (size_t i = 0; i < d.size(); ++i) codes[i] = DoubleOrderCode(d[i]);
-    } else {
-      codes = values.To(DType::kInt64).ToVector<int64_t>();
-    }
+    codes.resize(static_cast<size_t>(values.numel()));
+    TDP_DISPATCH_ALL(values.dtype(), {
+      const scalar_t* v = values.data<scalar_t>();
+      ParallelFor(0, values.numel(), GrainForCost(1), [&](int64_t lo,
+                                                          int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+          if constexpr (std::is_floating_point_v<scalar_t>) {
+            codes[static_cast<size_t>(i)] =
+                DoubleOrderCode(static_cast<double>(v[i]));
+          } else {
+            codes[static_cast<size_t>(i)] = static_cast<int64_t>(v[i]);
+          }
+        }
+      });
+    });
   }
   if (is_float != nullptr) *is_float = floating;
   return codes;
@@ -94,6 +105,68 @@ StatusOr<std::vector<int64_t>> KeyTuples(const std::vector<Column>& columns) {
     for (size_t r = 0; r < codes.size(); ++r) tuples[r * width + k] = codes[r];
   }
   return tuples;
+}
+
+// ---- SortKeys ---------------------------------------------------------------
+
+namespace {
+
+// Rows per top-k block: fixed, so the blocks (not the threads) define the
+// work split.
+constexpr int64_t kTopKBlockRows = 16384;
+
+}  // namespace
+
+Status SortKeys::Add(const Column& column, bool descending) {
+  bool is_float = false;
+  TDP_ASSIGN_OR_RETURN(std::vector<int64_t> rank, KeyCodes(column, &is_float));
+  // (A constant evaluates to one row even over an empty relation.)
+  TDP_CHECK(static_cast<int64_t>(rank.size()) == rows || rows == 0);
+  for (int64_t& r : rank) r = SortRank(r, descending, is_float);
+  ranks.push_back(std::move(rank));
+  return Status::OK();
+}
+
+std::vector<int64_t> SortKeys::Sorted(int64_t limit) const {
+  const auto less = [this](int64_t a, int64_t b) { return Less(a, b); };
+  if (limit < 0 || limit >= rows) {
+    std::vector<int64_t> order(static_cast<size_t>(rows));
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), less);
+    return order;
+  }
+  if (limit == 0) return {};
+  // Top-k: every block keeps its `limit` least rows in a bounded max-heap,
+  // in parallel; the global top-k is among the winners. `Less` is total,
+  // so the top-k is unique and the split cannot change it.
+  const int64_t blocks = (rows + kTopKBlockRows - 1) / kTopKBlockRows;
+  const int64_t keep = std::min(limit, kTopKBlockRows);
+  std::vector<std::vector<int64_t>> winners(static_cast<size_t>(blocks));
+  ParallelFor(0, blocks, 1, [&](int64_t b0, int64_t b1) {
+    for (int64_t b = b0; b < b1; ++b) {
+      std::vector<int64_t>& heap = winners[static_cast<size_t>(b)];
+      heap.reserve(static_cast<size_t>(keep));
+      const int64_t end = std::min(rows, (b + 1) * kTopKBlockRows);
+      for (int64_t row = b * kTopKBlockRows; row < end; ++row) {
+        if (static_cast<int64_t>(heap.size()) < keep) {
+          heap.push_back(row);
+          std::push_heap(heap.begin(), heap.end(), less);
+        } else if (Less(row, heap.front())) {
+          std::pop_heap(heap.begin(), heap.end(), less);
+          heap.back() = row;
+          std::push_heap(heap.begin(), heap.end(), less);
+        }
+      }
+    }
+  });
+  std::vector<int64_t> top;
+  for (const std::vector<int64_t>& w : winners) {
+    top.insert(top.end(), w.begin(), w.end());
+  }
+  std::nth_element(top.begin(), top.begin() + limit, top.end(), less);
+  top.resize(static_cast<size_t>(limit));
+  std::sort(top.begin(), top.end(), less);
+  return top;
 }
 
 // ---- KeyTable ---------------------------------------------------------------

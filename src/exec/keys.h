@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -15,10 +16,11 @@
 namespace tdp {
 namespace exec {
 
-// The one key module: group ids, DISTINCT, hash join build/probe and the
-// spill kernels all derive their keys here (`KeyCodes`, `MakeJoinKeys`)
-// and look them up in one flat table (`KeyTable`), so value equality
-// means the same thing everywhere.
+// The one key module: group ids, DISTINCT, hash join build/probe, ORDER
+// BY and the spill kernels all derive their keys here (`KeyCodes`,
+// `MakeJoinKeys`, `SortKeys`) and look them up in one flat table
+// (`KeyTable`), so value equality and order mean the same thing
+// everywhere.
 
 // ---- Order-preserving key codes ---------------------------------------------
 //
@@ -34,7 +36,7 @@ namespace exec {
 // are globally consistent.
 
 /// Canonical NaN code: above every finite/inf code (NaN sorts last
-/// ascending); `CompareKeyCodes` pins NaN last under descending too.
+/// ascending); `SortRank` pins NaN last under descending too.
 constexpr int64_t kNanOrderCode = 0x7ff8000000000000LL;
 
 inline int64_t DoubleOrderCode(double d) {
@@ -56,19 +58,53 @@ StatusOr<std::vector<int64_t>> KeyCodes(const Column& column,
 /// columns.size()) — the layout `KeyTable` takes.
 StatusOr<std::vector<int64_t>> KeyTuples(const std::vector<Column>& columns);
 
-/// Three-way comparison of two codes of one sort key: <0, 0, >0. NaN
-/// orders last under BOTH directions (ArgSort's comparator contract).
-inline int CompareKeyCodes(int64_t a, int64_t b, bool descending,
-                           bool is_float) {
-  if (a == b) return 0;
-  if (is_float) {
-    const bool a_nan = a == kNanOrderCode;
-    const bool b_nan = b == kNanOrderCode;
-    if (a_nan != b_nan) return a_nan ? 1 : -1;
+/// A code's rank under one ORDER BY direction: ascending signed order of
+/// ranks is the key's ORDER BY order, NaN last under BOTH directions
+/// (ArgSort's comparator contract). Descending flips the code with `~`,
+/// an order-reversing bijection that cannot overflow; a float key's NaN
+/// then takes the top rank, which no flipped float code reaches.
+inline int64_t SortRank(int64_t code, bool descending, bool is_float) {
+  if (!descending) return code;
+  if (is_float && code == kNanOrderCode) {
+    return std::numeric_limits<int64_t>::max();
   }
-  if (descending) return a < b ? 1 : -1;
-  return a < b ? -1 : 1;
+  return ~code;
 }
+
+// ---- Sort order -------------------------------------------------------------
+
+/// The ORDER BY order of a relation's rows: per ORDER BY item, the
+/// `SortRank`s of its `KeyCodes`. `Less` compares the items' ranks in turn
+/// and breaks full ties by row index, a strict total order that is exactly
+/// the composition of stable per-key sorts: NaN last in both directions,
+/// -0 equal to +0, int64 exact. The first k rows under it are therefore
+/// unique. The in-memory sort, the external sort and the index top-k all
+/// order rows through this one type.
+struct SortKeys {
+  explicit SortKeys(int64_t num_rows) : rows(num_rows) {}
+
+  /// Appends the next ORDER BY item: `column` must hold one scalar per
+  /// row.
+  Status Add(const Column& column, bool descending);
+
+  bool Less(int64_t a, int64_t b) const {
+    for (const std::vector<int64_t>& rank : ranks) {
+      const int64_t ra = rank[static_cast<size_t>(a)];
+      const int64_t rb = rank[static_cast<size_t>(b)];
+      if (ra != rb) return ra < rb;
+    }
+    return a < b;
+  }
+
+  /// Row ids in `Less` order, cut to the first `limit` (every row when
+  /// `limit` is negative). A limit below the row count runs a parallel
+  /// top-k over fixed row blocks; the result depends on neither the block
+  /// size nor the thread count.
+  std::vector<int64_t> Sorted(int64_t limit = -1) const;
+
+  int64_t rows;
+  std::vector<std::vector<int64_t>> ranks;  // per item, per row
+};
 
 // ---- Flat key table ---------------------------------------------------------
 

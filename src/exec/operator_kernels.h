@@ -130,6 +130,12 @@ StatusOr<Chunk> FinalizeAggregate(const plan::AggregateNode& node,
 
 StatusOr<Chunk> ExecuteTvfScan(const plan::TvfScanNode& node, Chunk input,
                                const ExecContext& ctx);
+/// The node's ORDER BY keys over the whole `input` (key expressions need
+/// not be row-local): the one order the in-memory and external sorts use.
+StatusOr<SortKeys> EvaluateSortKeys(const plan::SortNode& node,
+                                    const Chunk& input,
+                                    const ExecContext& ctx);
+/// ORDER BY; a fused LIMIT k takes the parallel top-k (`SortKeys::Sorted`).
 StatusOr<Chunk> ExecuteSort(const plan::SortNode& node, const Chunk& input,
                             const ExecContext& ctx);
 StatusOr<Chunk> ExecuteLimit(const plan::LimitNode& node, const Chunk& input);
@@ -138,7 +144,7 @@ StatusOr<Chunk> ExecuteDistinct(const Chunk& input);
 /// Index-accelerated top-k similarity (see `plan::IndexTopKNode`): probes
 /// the run snapshot's vector index for candidate rows
 /// (`ExecContext::index_probes` cells; 0 = all), re-ranks them exactly
-/// with the plan's own similarity expression (stable descending sort, so
+/// with the plan's own similarity expression (the `SortKeys` order, so
 /// full-probe results are bit-identical to the Sort+Limit plan the node
 /// replaced), and projects the winners. Falls back to that exact
 /// computation when the snapshot no longer holds a valid index.

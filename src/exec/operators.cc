@@ -721,12 +721,35 @@ StatusOr<Chunk> AssembleJoin(const JoinNode& node, const Chunk& build_rows,
 
 // ---- Sort / Limit / Distinct ------------------------------------------------
 
+namespace {
+
+// One value per row: what an ORDER BY key must hold.
+bool IsScalarKey(const Column& column) {
+  return column.encoding() != Encoding::kPlain || column.data().dim() == 1;
+}
+
+}  // namespace
+
+StatusOr<SortKeys> EvaluateSortKeys(const SortNode& node, const Chunk& input,
+                                    const ExecContext& ctx) {
+  SortKeys keys(input.num_rows());
+  for (const auto& item : node.items) {
+    TDP_ASSIGN_OR_RETURN(
+        Column key_col, EvaluateExprToColumn(*item.expr, input, EvalOpts(ctx)));
+    if (!IsScalarKey(key_col)) {
+      return Status::TypeError("ORDER BY key must be a scalar column");
+    }
+    TDP_RETURN_NOT_OK(keys.Add(key_col, item.descending));
+  }
+  return keys;
+}
+
 StatusOr<Chunk> ExecuteSort(const SortNode& node, const Chunk& input,
                             const ExecContext& ctx) {
   const int64_t rows = input.num_rows();
-  // In-memory sort scratch: the gathered keys + permutation (+ the output
+  // In-memory sort scratch: the key codes + permutation (+ the output
   // copy of the relation, since `input` stays live until Select returns).
-  // Over budget -> external merge sort, bit-identical permutation.
+  // Over budget -> external sort, bit-identical permutation.
   if (ctx.memory != nullptr && !ctx.soft_mode && rows > 0 &&
       !node.items.empty()) {
     const int64_t scratch =
@@ -739,24 +762,9 @@ StatusOr<Chunk> ExecuteSort(const SortNode& node, const Chunk& input,
   const ScopedReservation reservation(
       ctx.memory,
       rows * 8 * static_cast<int64_t>(node.items.size() + 2));
-  Tensor perm = Tensor::Arange(rows, DType::kInt64, ctx.device);
-  // Stable multi-key sort: apply keys from last to first.
-  for (auto it = node.items.rbegin(); it != node.items.rend(); ++it) {
-    TDP_ASSIGN_OR_RETURN(
-        Column key_col,
-        EvaluateExprToColumn(*it->expr, input, EvalOpts(ctx)));
-    Tensor keys = key_col.DecodeValues();
-    if (keys.dim() != 1) {
-      return Status::TypeError("ORDER BY key must be a scalar column");
-    }
-    const Tensor gathered = IndexSelect(keys.Detach(), 0, perm);
-    const Tensor order = ArgSort(gathered, it->descending);
-    perm = IndexSelect(perm, 0, order);
-  }
-  if (node.fused_limit >= 0 && node.fused_limit < rows) {
-    perm = Slice(perm, 0, 0, node.fused_limit).Contiguous();
-  }
-  return input.Select(perm);
+  TDP_ASSIGN_OR_RETURN(const SortKeys keys, EvaluateSortKeys(node, input, ctx));
+  return input.Select(
+      Tensor::FromVector(keys.Sorted(node.fused_limit), {}, ctx.device));
 }
 
 StatusOr<Chunk> ExecuteLimit(const LimitNode& node, const Chunk& input) {
@@ -814,30 +822,25 @@ StatusOr<Chunk> ProjectIndexTopK(const plan::IndexTopKNode& node,
 
 // Top-k permutation over `n` rows ranked by the node's sort keys — the
 // similarity DESC first, then the absorbed `extra_keys` tie-breaks —
-// composed as stable argsorts applied last-key-first, mirroring
-// ExecuteSort exactly so candidate-subset ranking reproduces the exact
-// plan's order (ties included) bit for bit. `key_values(ordinal)` yields
-// the decoded 1-d values of `exprs[ordinal]` over those n rows.
+// under the same `SortKeys` order as ExecuteSort, so candidate-subset
+// ranking reproduces the exact plan's order (ties included) bit for bit.
+// `key_column(ordinal)` yields `exprs[ordinal]` over those n rows.
 StatusOr<Tensor> TopKPerm(
     const plan::IndexTopKNode& node, int64_t n, Device device,
-    const std::function<StatusOr<Tensor>(int64_t)>& key_values) {
-  std::vector<std::pair<int64_t, bool>> keys;  // (ordinal, descending)
-  keys.emplace_back(node.sim_ordinal, true);
-  for (const auto& extra : node.extra_keys) {
-    keys.emplace_back(extra.ordinal, extra.descending);
-  }
-  Tensor perm = Tensor::Arange(n, DType::kInt64, device);
-  for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
-    TDP_ASSIGN_OR_RETURN(Tensor values, key_values(it->first));
-    if (values.dim() != 1) {
+    const std::function<StatusOr<Column>(int64_t)>& key_column) {
+  SortKeys keys(n);
+  const auto add = [&](int64_t ordinal, bool descending) -> Status {
+    TDP_ASSIGN_OR_RETURN(const Column column, key_column(ordinal));
+    if (!IsScalarKey(column)) {
       return Status::TypeError("similarity key must be a scalar column");
     }
-    const Tensor gathered = IndexSelect(values.Detach(), 0, perm);
-    const Tensor order = ArgSort(gathered, it->second);
-    perm = IndexSelect(perm, 0, order);
+    return keys.Add(column, descending);
+  };
+  TDP_RETURN_NOT_OK(add(node.sim_ordinal, /*descending=*/true));
+  for (const auto& extra : node.extra_keys) {
+    TDP_RETURN_NOT_OK(add(extra.ordinal, extra.descending));
   }
-  const int64_t out_k = std::min<int64_t>(node.k, n);
-  return Slice(perm, 0, 0, out_k).Contiguous();
+  return Tensor::FromVector(keys.Sorted(node.k), {}, device);
 }
 
 // The k = 0 / zero-survivor result: the projection evaluated over the
@@ -874,9 +877,8 @@ StatusOr<Chunk> IndexTopKExact(const plan::IndexTopKNode& node,
   TDP_ASSIGN_OR_RETURN(
       Tensor perm,
       TopKPerm(node, projected.num_rows(), ctx.device,
-               [&projected](int64_t ordinal) -> StatusOr<Tensor> {
-                 return projected.columns[static_cast<size_t>(ordinal)]
-                     .DecodeValues();
+               [&projected](int64_t ordinal) -> StatusOr<Column> {
+                 return projected.columns[static_cast<size_t>(ordinal)];
                }));
   return projected.Select(perm);
 }
@@ -1056,7 +1058,7 @@ StatusOr<Chunk> ExecuteIndexTopK(const plan::IndexTopKNode& node,
 
   // Candidates arrive in ascending row order; ranking them with the
   // plan's own sort keys (sim DESC, then tie-breaks) under TopKPerm's
-  // stable composition reproduces the exact plan's ranking over the
+  // `SortKeys` order reproduces the exact plan's ranking over the
   // candidate subset — with full probes the subset IS the (surviving)
   // relation, making the result bit-identical to the exact plan,
   // tie-breaks included. In the all-rows case the gather is skipped
@@ -1071,13 +1073,10 @@ StatusOr<Chunk> ExecuteIndexTopK(const plan::IndexTopKNode& node,
   TDP_ASSIGN_OR_RETURN(
       Tensor perm,
       TopKPerm(node, cand_rows.num_rows(), ctx.device,
-               [&](int64_t ordinal) -> StatusOr<Tensor> {
-                 TDP_ASSIGN_OR_RETURN(
-                     Column col,
-                     EvaluateExprToColumn(
-                         *node.exprs[static_cast<size_t>(ordinal)],
-                         cand_rows, EvalOpts(ctx)));
-                 return col.DecodeValues();
+               [&](int64_t ordinal) -> StatusOr<Column> {
+                 return EvaluateExprToColumn(
+                     *node.exprs[static_cast<size_t>(ordinal)], cand_rows,
+                     EvalOpts(ctx));
                }));
   const Tensor row_ids = IndexSelect(cand_ids, 0, perm);
   return ProjectIndexTopK(node, input.Select(row_ids), ctx);

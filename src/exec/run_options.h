@@ -102,7 +102,7 @@ struct RunOptions {
   /// aggregate's code/argument/accumulator arrays. 0 (default) is
   /// unlimited: everything stays in memory. When > 0, a breaker whose
   /// accounted footprint would exceed the budget takes its spill-to-disk
-  /// path instead (external merge sort; partitioned build payload with
+  /// path instead (external sort; partitioned build payload with
   /// per-partition gather; paged two-pass aggregation) — results are
   /// bit-identical to the in-memory path, only scratch residency changes.
   /// Spill temp files live for exactly one run: they are deleted when the

@@ -25,7 +25,7 @@ inline uint8_t* TensorRawBytesMutable(Tensor& t) {
 }
 
 // Binary spill-file serialization for the breaker spill paths (external
-// merge sort, grace hash join, paged aggregation). The format is exact:
+// sort, grace hash join, paged aggregation). The format is exact:
 // tensors round-trip their raw contiguous bytes (no float formatting, no
 // re-encoding), dictionary strings and PE domains travel verbatim, so a
 // value read back from disk is bit-identical to the value written. Files

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <queue>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -26,30 +25,21 @@ size_t GracePartition(const JoinKeys& keys, int64_t r, int64_t parts) {
          static_cast<size_t>(parts);
 }
 
-// Rows-per-run / partition-count sizing against the budget. The spill
+// Rows-per-page / partition-count sizing against the budget. The spill
 // paths must work at ANY positive budget (the differential suite runs
 // pathological 1-byte budgets), so sizes are floored rather than failed.
 int64_t ClampRows(int64_t v, int64_t lo, int64_t hi) {
   return std::max(lo, std::min(v, hi));
 }
 
-// Copies row `i` of contiguous `src` into row `pos[i]` of contiguous
-// `dst` for every row of `src`; `pos` entries of -1 are skipped (rows
-// beyond a fused limit). Exact byte copies — no value re-encoding.
-void ScatterRows(Tensor& dst, const Tensor& src,
-                 const std::vector<int64_t>& pos) {
+// Copies the rows of contiguous `src` into `dst` from row `at` on. Exact
+// byte copies — no value re-encoding.
+void CopyRowsAt(Tensor& dst, const Tensor& src, int64_t at) {
   const int64_t src_rows = src.size(0);
   if (src_rows == 0) return;
-  const int64_t row_elems = src.numel() / src_rows;
-  const int64_t row_bytes = row_elems * DTypeSize(src.dtype());
-  const uint8_t* sp = TensorRawBytes(src);
-  uint8_t* dp = TensorRawBytesMutable(dst);
-  for (int64_t i = 0; i < src_rows; ++i) {
-    const int64_t p = pos[static_cast<size_t>(i)];
-    if (p < 0) continue;
-    std::memcpy(dp + p * row_bytes, sp + i * row_bytes,
-                static_cast<size_t>(row_bytes));
-  }
+  const int64_t row_bytes = src.numel() / src_rows * DTypeSize(src.dtype());
+  std::memcpy(TensorRawBytesMutable(dst) + at * row_bytes, TensorRawBytes(src),
+              static_cast<size_t>(src_rows * row_bytes));
 }
 
 // Allocates the assembly target for `prototype`'s payload with `rows`
@@ -78,7 +68,7 @@ Column WrapLike(const Column& prototype, Tensor payload) {
 
 }  // namespace
 
-// ---- External merge sort ----------------------------------------------------
+// ---- External sort ----------------------------------------------------------
 
 StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
                                   const ExecContext& ctx) {
@@ -88,216 +78,61 @@ StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
   const size_t num_keys = node.items.size();
   TDP_CHECK(rows > 0 && num_keys > 0);
 
-  // Sort keys are evaluated over the whole relation, exactly as the
-  // in-memory kernel does (per-run evaluation could diverge for
-  // non-row-local key expressions), then collapsed to order codes. The
-  // code arrays are this path's resident working set — 8 bytes/row/key vs
-  // the payload+permutation+copy footprint the in-memory sort holds.
-  std::vector<std::vector<int64_t>> codes(num_keys);
-  std::vector<uint8_t> descending(num_keys), float_key(num_keys);
-  for (size_t k = 0; k < num_keys; ++k) {
-    const auto& item = node.items[k];
-    TDP_ASSIGN_OR_RETURN(Column key_col, EvaluateExprToColumn(
-                                             *item.expr, input, EvalOpts(ctx)));
-    if (key_col.IsTensorColumn()) {
-      return Status::TypeError("ORDER BY key must be a scalar column");
-    }
-    bool is_float = false;
-    TDP_ASSIGN_OR_RETURN(codes[k], KeyCodes(key_col, &is_float));
-    descending[k] = item.descending ? 1 : 0;
-    float_key[k] = is_float ? 1 : 0;
-  }
+  // The order comes from the in-memory sort's own `SortKeys` (keys
+  // evaluated over the whole relation, top-k under a fused limit). The
+  // codes and the permutation are this path's resident working set — 8
+  // bytes/row/key plus 8 per output row, vs the payload copy the
+  // in-memory sort holds.
+  TDP_ASSIGN_OR_RETURN(const SortKeys keys, EvaluateSortKeys(node, input, ctx));
+  const std::vector<int64_t> order = keys.Sorted(node.fused_limit);
+  const int64_t out_rows = static_cast<int64_t>(order.size());
   const ScopedReservation code_reservation(
-      mem, static_cast<int64_t>(num_keys) * rows * 8);
+      mem, static_cast<int64_t>(num_keys) * rows * 8 + out_rows * 8);
 
   const int64_t row_bytes =
       ChunkFootprintBytes(input) / std::max<int64_t>(rows, 1) +
       static_cast<int64_t>(num_keys) * 8 + 16;
-  const int64_t run_rows = ClampRows(
-      mem->budget_bytes() / 3 / std::max<int64_t>(row_bytes, 1), 1024, rows);
-  const int64_t num_runs = (rows + run_rows - 1) / run_rows;
-  const int64_t page_rows = std::min<int64_t>(run_rows, 4096);
+  const int64_t page_rows = ClampRows(
+      mem->budget_bytes() / 3 / std::max<int64_t>(row_bytes, 1), 1024, 4096);
+  const int64_t pages = (out_rows + page_rows - 1) / page_rows;
 
-  // Full-tie comparator over all keys; stability supplies the original-
-  // index tiebreak, reproducing the in-memory composition of stable
-  // per-key sorts exactly.
-  const auto row_less = [&](int64_t a, int64_t b) {
-    for (size_t k = 0; k < num_keys; ++k) {
-      const int c =
-          CompareKeyCodes(codes[k][static_cast<size_t>(a)],
-                          codes[k][static_cast<size_t>(b)],
-                          descending[k] != 0, float_key[k] != 0);
-      if (c != 0) return c < 0;
-    }
-    return false;
-  };
-
-  // Phase 1: sort + spill each row-order run. Run file layout:
-  //   [run_rows][num_pages] then per page:
-  //   [page_rows][sorted key codes: num_keys x page_rows]
-  //   [num_cols][column][column]...
-  std::vector<std::string> run_files(static_cast<size_t>(num_runs));
-  for (int64_t r = 0; r < num_runs; ++r) {
+  // Phase 1: gather the output rows page by page, in output order, and
+  // spill each page. Only rows that reach the output are written: under a
+  // fused LIMIT k, k rows. Page layout: [num_cols][column][column]...
+  TDP_ASSIGN_OR_RETURN(const std::string path, mem->NewSpillFile("sort"));
+  SpillWriter w(path);
+  for (int64_t p = 0; p < pages; ++p) {
     TDP_RETURN_NOT_OK(CheckCancel(ctx));
-    const int64_t lo = r * run_rows;
-    const int64_t n = std::min(run_rows, rows - lo);
-    std::vector<int64_t> perm(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) perm[static_cast<size_t>(i)] = lo + i;
-    std::stable_sort(perm.begin(), perm.end(), row_less);
-
-    Tensor perm_t = Tensor::FromVector(perm, {}, ctx.device);
-    const Chunk run_chunk = input.Select(perm_t);
-    const ScopedReservation run_reservation(mem,
-                                            ChunkFootprintBytes(run_chunk));
-
-    TDP_ASSIGN_OR_RETURN(std::string path, mem->NewSpillFile("sortrun"));
-    run_files[static_cast<size_t>(r)] = path;
-    SpillWriter w(path);
-    const int64_t pages = (n + page_rows - 1) / page_rows;
-    TDP_RETURN_NOT_OK(w.WriteInt64(n));
-    TDP_RETURN_NOT_OK(w.WriteInt64(pages));
-    std::vector<int64_t> page_codes;
-    for (int64_t p = 0; p < pages; ++p) {
-      const int64_t plo = p * page_rows;
-      const int64_t pn = std::min(page_rows, n - plo);
-      TDP_RETURN_NOT_OK(w.WriteInt64(pn));
-      page_codes.resize(static_cast<size_t>(num_keys) *
-                        static_cast<size_t>(pn));
-      for (size_t k = 0; k < num_keys; ++k) {
-        for (int64_t i = 0; i < pn; ++i) {
-          page_codes[k * static_cast<size_t>(pn) + static_cast<size_t>(i)] =
-              codes[k][static_cast<size_t>(perm[static_cast<size_t>(plo + i)])];
-        }
-      }
-      TDP_RETURN_NOT_OK(w.WriteInt64Span(page_codes.data(),
-                                         page_codes.size()));
-      const Chunk page = run_chunk.SliceRows(plo, pn);
-      TDP_RETURN_NOT_OK(
-          w.WriteInt64(static_cast<int64_t>(page.columns.size())));
-      for (const Column& c : page.columns) {
-        TDP_RETURN_NOT_OK(w.WriteColumn(c));
-      }
-    }
-    TDP_RETURN_NOT_OK(w.Close());
-    mem->AddSpilledBytes(w.bytes_written());
+    const int64_t lo = p * page_rows;
+    const int64_t n = std::min(page_rows, out_rows - lo);
+    const std::vector<int64_t> ids(order.begin() + lo, order.begin() + lo + n);
+    const Chunk page = input.Select(Tensor::FromVector(ids, {}, ctx.device));
+    const ScopedReservation page_reservation(mem, ChunkFootprintBytes(page));
+    TDP_RETURN_NOT_OK(w.WriteInt64(static_cast<int64_t>(page.columns.size())));
+    for (const Column& c : page.columns) TDP_RETURN_NOT_OK(w.WriteColumn(c));
   }
+  TDP_RETURN_NOT_OK(w.Close());
+  mem->AddSpilledBytes(w.bytes_written());
 
-  // Phase 2: codes-only k-way merge. Each pop appends its run to the
-  // merge sequence; ties pick the lower run (= smaller original indices,
-  // since runs partition rows in order). The per-run output-position
-  // lists are the only whole-relation state this phase keeps (~8
-  // bytes/row, small next to the materialized output the kernel must
-  // return regardless).
-  struct RunCursor {
-    SpillReader reader;
-    int64_t rows_left = 0;
-    int64_t pages_left = 0;
-    int64_t page_rows = 0;   // rows in the loaded page
-    int64_t page_pos = 0;    // cursor within the loaded page
-    std::vector<int64_t> page_codes;  // [key][row] flattened
-    explicit RunCursor(const std::string& path) : reader(path) {}
-  };
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(static_cast<size_t>(num_runs));
-  const auto load_page = [&](RunCursor& rc) -> Status {
-    TDP_ASSIGN_OR_RETURN(rc.page_rows, rc.reader.ReadInt64());
-    rc.page_codes.resize(static_cast<size_t>(num_keys) *
-                         static_cast<size_t>(rc.page_rows));
-    TDP_RETURN_NOT_OK(rc.reader.ReadInt64Span(rc.page_codes.data(),
-                                              rc.page_codes.size()));
-    TDP_ASSIGN_OR_RETURN(int64_t cols, rc.reader.ReadInt64());
-    for (int64_t c = 0; c < cols; ++c) {
-      TDP_RETURN_NOT_OK(rc.reader.SkipColumn());
-    }
-    rc.page_pos = 0;
-    --rc.pages_left;
-    return Status::OK();
-  };
-  for (int64_t r = 0; r < num_runs; ++r) {
-    auto rc = std::make_unique<RunCursor>(run_files[static_cast<size_t>(r)]);
-    TDP_ASSIGN_OR_RETURN(rc->rows_left, rc->reader.ReadInt64());
-    TDP_ASSIGN_OR_RETURN(rc->pages_left, rc->reader.ReadInt64());
-    if (rc->rows_left > 0) TDP_RETURN_NOT_OK(load_page(*rc));
-    cursors.push_back(std::move(rc));
-  }
-  const auto head_code = [&](int64_t r, size_t k) {
-    const RunCursor& rc = *cursors[static_cast<size_t>(r)];
-    return rc.page_codes[k * static_cast<size_t>(rc.page_rows) +
-                         static_cast<size_t>(rc.page_pos)];
-  };
-  // priority_queue comparator: true when `a` merges AFTER `b`.
-  const auto merge_after = [&](int64_t a, int64_t b) {
-    for (size_t k = 0; k < num_keys; ++k) {
-      const int c = CompareKeyCodes(head_code(a, k), head_code(b, k),
-                                    descending[k] != 0, float_key[k] != 0);
-      if (c != 0) return c > 0;
-    }
-    return a > b;  // tie: lower run index first (earlier original rows)
-  };
-  std::priority_queue<int64_t, std::vector<int64_t>, decltype(merge_after)>
-      heap(merge_after);
-  for (int64_t r = 0; r < num_runs; ++r) {
-    if (cursors[static_cast<size_t>(r)]->rows_left > 0) heap.push(r);
-  }
-  const int64_t out_rows =
-      node.fused_limit >= 0 ? std::min(node.fused_limit, rows) : rows;
-  std::vector<std::vector<int64_t>> out_pos(static_cast<size_t>(num_runs));
-  int64_t emitted = 0;
-  while (emitted < out_rows) {
-    TDP_CHECK(!heap.empty());
-    const int64_t r = heap.top();
-    heap.pop();
-    RunCursor& rc = *cursors[static_cast<size_t>(r)];
-    out_pos[static_cast<size_t>(r)].push_back(emitted++);
-    ++rc.page_pos;
-    --rc.rows_left;
-    if (rc.rows_left > 0) {
-      if (rc.page_pos == rc.page_rows) TDP_RETURN_NOT_OK(load_page(rc));
-      heap.push(r);
-    }
-  }
-
-  // Phase 3: per-column assembly — one pass over each run's pages per
-  // column, scattering rows into their merge positions. Peak scratch: one
-  // output column + one page.
+  // Phase 2: per-column assembly — one pass over the pages per column,
+  // appending each page's rows. Peak scratch: one output column + one
+  // page.
   Chunk out;
   out.names = input.names;
-  std::vector<int64_t> scatter_pos;
   for (size_t j = 0; j < input.columns.size(); ++j) {
     TDP_RETURN_NOT_OK(CheckCancel(ctx));
     const Column& prototype = input.columns[j];
     Tensor payload = AllocLike(prototype.data(), out_rows);
-    for (int64_t r = 0; r < num_runs; ++r) {
-      const std::vector<int64_t>& positions = out_pos[static_cast<size_t>(r)];
-      SpillReader reader(run_files[static_cast<size_t>(r)]);
-      TDP_ASSIGN_OR_RETURN(int64_t run_total, reader.ReadInt64());
-      TDP_ASSIGN_OR_RETURN(int64_t pages, reader.ReadInt64());
-      (void)run_total;
-      int64_t consumed = 0;
-      for (int64_t p = 0; p < pages; ++p) {
-        if (consumed >= static_cast<int64_t>(positions.size())) break;
-        TDP_ASSIGN_OR_RETURN(int64_t pn, reader.ReadInt64());
-        TDP_RETURN_NOT_OK(reader.Skip(
-            static_cast<int64_t>(num_keys) * pn * 8));
-        TDP_ASSIGN_OR_RETURN(int64_t cols, reader.ReadInt64());
-        TDP_CHECK(static_cast<int64_t>(j) < cols);
-        for (size_t c = 0; c < j; ++c) {
-          TDP_RETURN_NOT_OK(reader.SkipColumn());
-        }
-        TDP_ASSIGN_OR_RETURN(Column page_col, reader.ReadColumn());
-        for (int64_t c = static_cast<int64_t>(j) + 1; c < cols; ++c) {
-          TDP_RETURN_NOT_OK(reader.SkipColumn());
-        }
-        scatter_pos.assign(static_cast<size_t>(pn), -1);
-        for (int64_t i = 0; i < pn; ++i) {
-          if (consumed + i < static_cast<int64_t>(positions.size())) {
-            scatter_pos[static_cast<size_t>(i)] =
-                positions[static_cast<size_t>(consumed + i)];
-          }
-        }
-        ScatterRows(payload, page_col.data().Contiguous(), scatter_pos);
-        consumed += pn;
+    SpillReader reader(path);
+    for (int64_t p = 0; p < pages; ++p) {
+      TDP_ASSIGN_OR_RETURN(int64_t cols, reader.ReadInt64());
+      TDP_CHECK(static_cast<int64_t>(j) < cols);
+      for (size_t c = 0; c < j; ++c) TDP_RETURN_NOT_OK(reader.SkipColumn());
+      TDP_ASSIGN_OR_RETURN(Column page_col, reader.ReadColumn());
+      for (int64_t c = static_cast<int64_t>(j) + 1; c < cols; ++c) {
+        TDP_RETURN_NOT_OK(reader.SkipColumn());
       }
+      CopyRowsAt(payload, page_col.data().Contiguous(), p * page_rows);
     }
     out.columns.push_back(WrapLike(prototype, std::move(payload)));
   }

@@ -17,23 +17,22 @@ namespace exec {
 
 // Spill-to-disk (out-of-budget) variants of the sort and join breakers.
 // Each produces BIT-IDENTICAL results to its in-memory sibling — the spill
-// paths re-derive the exact same row permutations and emission orders;
+// paths use the exact same row permutations and emission orders;
 // only where the scratch lives changes. `ExecuteSort` /
 // `BuildJoinHashTable` dispatch here when `ExecContext::memory` reports
 // the in-memory footprint over budget. (Aggregation pages its inputs
 // itself: `FinalizeAggregate` streams the same pages through a spill
 // file when over budget.)
 
-// ---- External merge sort ----------------------------------------------------
+// ---- External sort ----------------------------------------------------------
 
-/// Out-of-budget ORDER BY: splits the input into row-order runs sized to
-/// the budget, stable-sorts each run and spills it (sorted key codes +
-/// exact column pages), then k-way merges the runs — ties broken by run
-/// order, i.e. by original row index, reproducing the exact permutation of
-/// the in-memory composition of stable sorts. Output columns are assembled
-/// one at a time by scattering spilled pages into place, so peak scratch
-/// is one output column + one page instead of keys+permutation+copy of the
-/// whole relation. Honors `fused_limit` by truncating the merge.
+/// Out-of-budget ORDER BY: orders the rows with the in-memory sort's own
+/// `SortKeys` (so the permutation is the same by construction, fused
+/// LIMIT top-k included), spills the output rows page by page in output
+/// order, then assembles the output one column at a time from the pages.
+/// Peak scratch is the key codes + permutation, one output column and one
+/// page, instead of the whole permuted copy of the relation; a fused LIMIT
+/// k spills only the k rows that reach the output.
 StatusOr<Chunk> ExternalSortChunk(const plan::SortNode& node,
                                   const Chunk& input, const ExecContext& ctx);
 

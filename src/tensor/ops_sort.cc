@@ -36,13 +36,13 @@ bool SameValue(T a, T b) {
 Tensor ArgSort(const Tensor& t, bool descending) {
   TDP_CHECK(t.defined());
   TDP_CHECK_EQ(t.dim(), 1) << "ArgSort expects a 1-d tensor";
-  TDP_CHECK(t.dtype() != DType::kBool);
   const Tensor tc = t.Detach().Contiguous();
   const int64_t n = tc.numel();
   Tensor out = Tensor::Empty({n}, DType::kInt64, t.device());
   int64_t* op = out.data<int64_t>();
   std::iota(op, op + n, 0);
-  TDP_DISPATCH_NUMERIC(t.dtype(), {
+  // Bool orders false < true.
+  TDP_DISPATCH_ALL(t.dtype(), {
     const scalar_t* sp = tc.data<scalar_t>();
     if (descending) {
       std::stable_sort(op, op + n, [sp](int64_t a, int64_t b) {

@@ -8,6 +8,12 @@
 // the same data, swept across random (n, d, k, num_lists) shapes — at
 // full probe count the two must be BIT-identical, and at a quarter of the
 // lists recall@k must stay high on clustered data.
+//
+// The ORDER BY section at the end compares rows in result order, not as
+// multisets: ORDER BY ... LIMIT k [OFFSET o] over adversarial keys must
+// return BaselineDb's rows in BaselineDb's order, and exactly the slice
+// of the same query's full ORDER BY, on both devices, with and without a
+// memory budget, at 1 and 4 threads.
 
 #include <algorithm>
 #include <cmath>
@@ -18,6 +24,7 @@
 
 #include "src/baseline/baseline_db.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/runtime/session.h"
 #include "src/tensor/ops.h"
 #include "tests/vector_test_util.h"
@@ -63,8 +70,9 @@ std::string NormalizeCell(double v) {
   return os.str();
 }
 
-// Renders both engines' results as sorted multisets of row strings.
-std::vector<std::string> TdpRows(const Table& table) {
+// Renders both engines' results as row strings: sorted multisets by
+// default, in result order when `sorted` is false.
+std::vector<std::string> TdpRows(const Table& table, bool sorted = true) {
   std::vector<std::string> rows;
   // Strings and int64 cells render exactly (no trip through a double).
   std::vector<std::vector<std::string>> decoded(
@@ -92,11 +100,12 @@ std::vector<std::string> TdpRows(const Table& table) {
     }
     rows.push_back(std::move(row));
   }
-  std::sort(rows.begin(), rows.end());
+  if (sorted) std::sort(rows.begin(), rows.end());
   return rows;
 }
 
-std::vector<std::string> BaselineRows(const baseline::BaselineTable& table) {
+std::vector<std::string> BaselineRows(const baseline::BaselineTable& table,
+                                      bool sorted = true) {
   std::vector<std::string> rows;
   for (const auto& in_row : table.rows) {
     std::string row;
@@ -114,7 +123,7 @@ std::vector<std::string> BaselineRows(const baseline::BaselineTable& table) {
     }
     rows.push_back(std::move(row));
   }
-  std::sort(rows.begin(), rows.end());
+  if (sorted) std::sort(rows.begin(), rows.end());
   return rows;
 }
 
@@ -574,6 +583,122 @@ TEST_P(AdversarialKeyTest, KeyedQueriesAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AdversarialKeyTest,
                          ::testing::Range<uint64_t>(1, 7));
+
+// ---- ORDER BY and top-k -----------------------------------------------------
+
+// Every path an ORDER BY can take: each key path at 1 and 4 threads (the
+// top-k runs on the pool).
+struct SortPath {
+  KeyPath key;
+  int threads;
+  std::string label() const {
+    return key.label + " threads=" + std::to_string(threads);
+  }
+};
+std::vector<SortPath> SortPaths() {
+  std::vector<SortPath> paths;
+  for (const KeyPath& key : KeyPaths()) {
+    for (int threads : {1, 4}) paths.push_back({key, threads});
+  }
+  return paths;
+}
+
+// `sql` on TDP along `path`, rows in result order.
+std::vector<std::string> OrderedTdpRows(Engines& engines,
+                                        const std::string& sql,
+                                        const SortPath& path) {
+  ScopedNumThreads threads(path.threads);
+  auto result = engines.tdp.Sql(sql, QueryOptions{path.key.device},
+                                BudgetRun(path.key.budget));
+  EXPECT_TRUE(result.ok()) << sql << "\n" << result.status().ToString();
+  if (!result.ok()) return {};
+  return TdpRows(**result, /*sorted=*/false);
+}
+
+std::vector<std::string> OrderedBaselineRows(Engines& engines,
+                                             const std::string& sql) {
+  auto result = engines.base.Sql(sql);
+  EXPECT_TRUE(result.ok()) << sql << "\n" << result.status().ToString();
+  if (!result.ok()) return {};
+  return BaselineRows(*result, /*sorted=*/false);
+}
+
+// A boolean ORDER BY key sorts false < true on every path.
+TEST(OrderByTest, BoolKeyOnEveryPath) {
+  Engines engines;
+  TwinTable("t").Ints("id", {0, 1, 2, 3, 4, 5}).Ints("q", {70, 10, 51, 50,
+                                                         90, 0})
+      .Register(engines, "t");
+  const std::string sql = "SELECT id FROM t ORDER BY q > 50, id";
+  const std::vector<std::string> expected = OrderedBaselineRows(engines, sql);
+  EXPECT_EQ(expected, (std::vector<std::string>{"1|", "3|", "5|", "0|", "2|",
+                                                "4|"}));
+  for (const SortPath& path : SortPaths()) {
+    EXPECT_EQ(OrderedTdpRows(engines, sql, path), expected) << path.label();
+  }
+}
+
+class TopKQueryDifferentialTest : public ::testing::TestWithParam<int64_t> {};
+
+// ORDER BY ... LIMIT k [OFFSET o] over adversarial keys (2^53 neighbours,
+// int64 extremes, NaN/-0/+0 floats with heavy ties, long-prefix strings,
+// a bool): on every path TDP returns the oracle's rows in the oracle's
+// order, and exactly the slice of its own full ORDER BY.
+TEST_P(TopKQueryDifferentialTest, AgreesWithBaselineAndTheSlicedFullSort) {
+  const int64_t n = GetParam();
+  Rng rng(static_cast<uint64_t>(n) * 31 + 7);
+  std::vector<int64_t> id, hk, q;
+  std::vector<double> f;
+  std::vector<std::string> s;
+  for (int64_t i = 0; i < n; ++i) {
+    id.push_back(i);
+    hk.push_back(AdversarialInt(rng));
+    f.push_back(AdversarialFloat(rng));
+    s.push_back(AdversarialString(rng));
+    q.push_back(rng.UniformInt(0, 100));
+  }
+  Engines engines;
+  TwinTable("t").Ints("id", id).Ints("hk", hk).Floats("f", f).Strings("s", s)
+      .Ints("q", q).Register(engines, "t");
+
+  const std::vector<std::string> orders = {
+      "f DESC", "hk", "s DESC, hk", "q > 50 DESC, f, hk DESC",
+      "hk DESC, f", "s, f DESC, q > 50"};
+  std::vector<int64_t> ks = {0, 1, 7, n - 1, n, n + 5};
+  std::sort(ks.begin(), ks.end());
+  ks.erase(std::unique(ks.begin(), ks.end()), ks.end());
+  ks.erase(std::remove(ks.begin(), ks.end(), -1), ks.end());
+
+  for (const std::string& order : orders) {
+    const std::string full_sql = "SELECT id, hk, f, s FROM t ORDER BY " + order;
+    const std::vector<std::string> full = OrderedBaselineRows(engines, full_sql);
+    ASSERT_EQ(static_cast<int64_t>(full.size()), n) << full_sql;
+    for (const int64_t k : ks) {
+      for (const int64_t offset : {int64_t{0}, int64_t{3}}) {
+        const std::string sql = full_sql + " LIMIT " + std::to_string(k) +
+                                (offset > 0 ? " OFFSET " +
+                                                  std::to_string(offset)
+                                            : "");
+        const int64_t lo = std::min(offset, n);
+        const int64_t hi = std::min(offset + k, n);
+        const std::vector<std::string> slice(full.begin() + lo,
+                                             full.begin() + hi);
+        EXPECT_EQ(OrderedBaselineRows(engines, sql), slice) << sql;
+        for (const SortPath& path : SortPaths()) {
+          SCOPED_TRACE(path.label() + ": " + sql);
+          EXPECT_EQ(OrderedTdpRows(engines, sql, path), slice);
+        }
+      }
+    }
+    for (const SortPath& path : SortPaths()) {
+      EXPECT_EQ(OrderedTdpRows(engines, full_sql, path), full)
+          << path.label() << ": " << full_sql;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, TopKQueryDifferentialTest,
+                         ::testing::Values<int64_t>(0, 1, 5000));
 
 }  // namespace
 }  // namespace tdp

@@ -1,6 +1,7 @@
 // Unit coverage for the one key module (src/exec/keys.h): the
 // order-preserving key codes every keyed operator and spill kernel shares,
-// the flat `KeyTable` that assigns group/distinct/join ids, the CSR row
+// the ORDER BY order (`SortKeys`) and its parallel top-k, the flat
+// `KeyTable` that assigns group/distinct/join ids, the CSR row
 // lists of a join build side, and the join key reconciliation that makes
 // `=` exact across the two sides. End-to-end exactness (the 2^53 probe on
 // both devices, in memory and spilled, against BaselineDb) lives in
@@ -11,11 +12,15 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/exec/keys.h"
 #include "src/storage/column.h"
+#include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
 
 namespace tdp {
@@ -36,8 +41,8 @@ TEST(OrderCodeTest, DoubleOrderCodeIsMonotone) {
 }
 
 TEST(OrderCodeTest, NegativeZeroTiesPositiveZero) {
-  // The in-memory ArgSort comparator cannot distinguish -0 from +0, so the
-  // spill codes must tie them too or sort stability would diverge.
+  // ORDER BY (like ArgSort's comparator) cannot distinguish -0 from +0, so
+  // their codes must tie or the row-index tie-break would diverge.
   EXPECT_EQ(DoubleOrderCode(-0.0), DoubleOrderCode(0.0));
 }
 
@@ -47,22 +52,28 @@ TEST(OrderCodeTest, AllNansShareOneCode) {
   EXPECT_EQ(DoubleOrderCode(-qnan), kNanOrderCode);
 }
 
-TEST(OrderCodeTest, CompareKeyCodesNanLastBothDirections) {
+TEST(OrderCodeTest, SortRankNanLastBothDirections) {
   const int64_t one = DoubleOrderCode(1.0);
-  // Ascending: 1.0 before NaN.
-  EXPECT_LT(CompareKeyCodes(one, kNanOrderCode, /*descending=*/false,
-                            /*is_float=*/true),
-            0);
-  // Descending: 1.0 STILL before NaN (NaN is last in both directions,
-  // matching the in-memory comparator).
-  EXPECT_LT(CompareKeyCodes(one, kNanOrderCode, /*descending=*/true,
-                            /*is_float=*/true),
-            0);
-  EXPECT_EQ(CompareKeyCodes(kNanOrderCode, kNanOrderCode, true, true), 0);
-  // Plain integers invert under descending.
-  EXPECT_GT(CompareKeyCodes(1, 2, /*descending=*/true, /*is_float=*/false), 0);
-  EXPECT_LT(CompareKeyCodes(1, 2, /*descending=*/false, /*is_float=*/false),
-            0);
+  const int64_t inf =
+      DoubleOrderCode(std::numeric_limits<double>::infinity());
+  // Ascending: 1.0 before +inf before NaN.
+  EXPECT_LT(SortRank(one, /*descending=*/false, /*is_float=*/true),
+            SortRank(inf, false, true));
+  EXPECT_LT(SortRank(inf, false, true), SortRank(kNanOrderCode, false, true));
+  // Descending: +inf before 1.0, and NaN STILL last (NaN is last in both
+  // directions, matching the in-memory comparator).
+  EXPECT_LT(SortRank(inf, /*descending=*/true, /*is_float=*/true),
+            SortRank(one, true, true));
+  EXPECT_LT(SortRank(one, true, true), SortRank(kNanOrderCode, true, true));
+  // Plain integers invert under descending, the int64 extremes included.
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  EXPECT_LT(SortRank(2, /*descending=*/true, /*is_float=*/false),
+            SortRank(1, true, false));
+  EXPECT_LT(SortRank(hi, true, false), SortRank(hi - 1, true, false));
+  EXPECT_LT(SortRank(lo + 1, true, false), SortRank(lo, true, false));
+  EXPECT_LT(SortRank(1, /*descending=*/false, /*is_float=*/false),
+            SortRank(2, false, false));
 }
 
 TEST(OrderCodeTest, KeyCodesMatchColumnOrder) {
@@ -102,6 +113,97 @@ TEST(OrderCodeTest, FullWidthIntegersStayExact) {
       Column::Plain(Tensor::FromVector<int64_t>({two53 + 1, two53, lo, hi})));
   ASSERT_TRUE(codes.ok());
   EXPECT_EQ(codes.value(), (std::vector<int64_t>{two53 + 1, two53, lo, hi}));
+}
+
+// ---- SortKeys ---------------------------------------------------------------
+
+// The engine's former ORDER BY: stable ArgSorts applied last key first.
+std::vector<int64_t> ArgSortComposition(const std::vector<Tensor>& keys,
+                                        const std::vector<bool>& descending) {
+  Tensor perm = Tensor::Arange(keys[0].numel());
+  for (size_t k = keys.size(); k-- > 0;) {
+    const Tensor order = ArgSort(IndexSelect(keys[k], 0, perm), descending[k]);
+    perm = IndexSelect(perm, 0, order);
+  }
+  return perm.ToVector<int64_t>();
+}
+
+SortKeys MakeSortKeys(const std::vector<Tensor>& keys,
+                      const std::vector<bool>& descending) {
+  SortKeys sort_keys(keys[0].numel());
+  for (size_t k = 0; k < keys.size(); ++k) {
+    EXPECT_TRUE(sort_keys.Add(Column::Plain(keys[k]), descending[k]).ok());
+  }
+  return sort_keys;
+}
+
+// Heavy-tie keys past several top-k blocks (16384 rows each): a float key
+// over {NaN, -0, +0, +-1.5}, an int64 key over the full width and a bool.
+std::vector<Tensor> TiedKeys(int64_t rows) {
+  Rng rng(17);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> floats = {nan, -0.0, 0.0, 1.5, -1.5};
+  const std::vector<int64_t> ints = {std::numeric_limits<int64_t>::min(),
+                                     (int64_t{1} << 53) + 1, int64_t{1} << 53,
+                                     std::numeric_limits<int64_t>::max()};
+  std::vector<double> f;
+  std::vector<int64_t> i, b;
+  for (int64_t r = 0; r < rows; ++r) {
+    f.push_back(floats[static_cast<size_t>(rng.UniformInt(0, 4))]);
+    i.push_back(ints[static_cast<size_t>(rng.UniformInt(0, 3))]);
+    b.push_back(rng.UniformInt(0, 1));
+  }
+  return {Tensor::FromVector(f), Tensor::FromVector(i),
+          Tensor::FromVector(b).To(DType::kBool)};
+}
+
+TEST(SortKeysTest, EqualsStableArgSortCompositionAndItsPrefixes) {
+  const int64_t rows = 40000;
+  const std::vector<Tensor> keys = TiedKeys(rows);
+  for (const std::vector<bool>& descending :
+       {std::vector<bool>{false, false, false},
+        std::vector<bool>{true, false, true},
+        std::vector<bool>{false, true, true}}) {
+    const std::vector<int64_t> expected = ArgSortComposition(keys, descending);
+    const SortKeys sort_keys = MakeSortKeys(keys, descending);
+    for (int threads : {1, 4}) {
+      ScopedNumThreads scoped(threads);
+      EXPECT_EQ(sort_keys.Sorted(), expected);
+      for (int64_t k : {int64_t{0}, int64_t{1}, int64_t{7}, int64_t{16383},
+                        int64_t{16384}, int64_t{16385}, int64_t{32769},
+                        rows - 1}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " k=" + std::to_string(k));
+        const std::vector<int64_t> prefix(expected.begin(),
+                                          expected.begin() + k);
+        EXPECT_EQ(sort_keys.Sorted(k), prefix);
+      }
+    }
+  }
+}
+
+TEST(SortKeysTest, AllRowsTiedKeepRowOrder) {
+  const int64_t rows = 40000;
+  const SortKeys sort_keys =
+      MakeSortKeys({Tensor::Zeros({rows}, DType::kFloat32)}, {true});
+  ScopedNumThreads scoped(4);
+  for (int64_t k : {int64_t{1}, int64_t{16385}, rows - 1}) {
+    std::vector<int64_t> expected(static_cast<size_t>(k));
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(sort_keys.Sorted(k), expected) << "k=" << k;
+  }
+}
+
+TEST(SortKeysTest, LimitAtOrAboveRowsSortsEveryRow) {
+  const std::vector<Tensor> keys = {
+      Tensor::FromVector<int64_t>({3, 1, 2, 1, 3})};
+  const SortKeys sort_keys = MakeSortKeys(keys, {false});
+  const std::vector<int64_t> expected = {1, 3, 2, 0, 4};
+  EXPECT_EQ(sort_keys.Sorted(), expected);
+  EXPECT_EQ(sort_keys.Sorted(5), expected);
+  EXPECT_EQ(sort_keys.Sorted(10), expected);
+  EXPECT_TRUE(SortKeys(0).Sorted(3).empty());
+  EXPECT_TRUE(SortKeys(0).Sorted().empty());
 }
 
 // ---- KeyTable ---------------------------------------------------------------

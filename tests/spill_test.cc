@@ -1,7 +1,7 @@
 // Unit coverage for the spill-to-disk breaker machinery: the per-query
 // memory accounting (`QueryMemory`) and the exact binary spill
-// serialization (`SpillWriter`/`SpillReader`); the order-preserving key
-// codes the external sort merges on are pinned in keys_test.cc. The
+// serialization (`SpillWriter`/`SpillReader`); the `SortKeys` order the
+// external sort shares with the in-memory one is pinned in keys_test.cc. The
 // end-to-end bit-identity proof — budgeted runs vs unlimited references
 // across executors and morsel sizes — lives in spill_differential_test.cc;
 // this suite pins the pieces in isolation so a differential failure there
@@ -269,6 +269,43 @@ TEST(SpillRunTest, TightBudgetSpillsAndCleansUp) {
   EXPECT_EQ(QueryMemory::LiveSpillFiles(), live_before);
   // ...and produced the identical result.
   ASSERT_EQ(budgeted.value()->num_rows(), reference.value()->num_rows());
+  EXPECT_TRUE(TensorEqual(budgeted.value()->column(0).data().Contiguous(),
+                          reference.value()->column(0).data().Contiguous()));
+}
+
+// A fused LIMIT k spills only the k rows it returns, not whole runs: the
+// top-k writes a small fraction of the full sort's bytes and returns the
+// same rows as the unlimited in-memory run.
+TEST(SpillRunTest, TopKSpillsOnlyTheRowsItReturns) {
+  Session session;
+  std::vector<int64_t> vals(4000);
+  for (size_t i = 0; i < vals.size(); ++i) {
+    vals[i] = static_cast<int64_t>((i * 2654435761u) % 10007);
+  }
+  auto table = TableBuilder("t").AddInt64("x", vals).Build();
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(session.RegisterTable("t", table.value()).ok());
+
+  const std::string topk_sql = "SELECT x FROM t ORDER BY x DESC LIMIT 100";
+  auto reference = session.Sql(topk_sql, {}, RunOptions{});
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  RunOptions tight;
+  tight.memory_budget_bytes = 4096;
+  const int64_t before_full = QueryMemory::TotalBytesSpilled();
+  ASSERT_TRUE(session.Sql("SELECT x FROM t ORDER BY x DESC", {}, tight).ok());
+  const int64_t full_bytes = QueryMemory::TotalBytesSpilled() - before_full;
+
+  const int64_t before_topk = QueryMemory::TotalBytesSpilled();
+  auto budgeted = session.Sql(topk_sql, {}, tight);
+  ASSERT_TRUE(budgeted.ok()) << budgeted.status().ToString();
+  const int64_t topk_bytes = QueryMemory::TotalBytesSpilled() - before_topk;
+
+  EXPECT_GT(topk_bytes, 0);  // still the external path
+  EXPECT_LT(topk_bytes * 10, full_bytes)
+      << "top-100 of 4000 rows spilled " << topk_bytes << " bytes vs "
+      << full_bytes << " for the full sort";
+  ASSERT_EQ(budgeted.value()->num_rows(), 100);
   EXPECT_TRUE(TensorEqual(budgeted.value()->column(0).data().Contiguous(),
                           reference.value()->column(0).data().Contiguous()));
 }

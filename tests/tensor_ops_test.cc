@@ -233,6 +233,17 @@ TEST(OpsTest, ArgSortAllNanDoesNotCrash) {
   EXPECT_EQ(ArgSort(t).ToVector<int64_t>(), expect);
 }
 
+TEST(OpsTest, ArgSortOrdersBoolFalseBeforeTrue) {
+  // A bool key (e.g. ORDER BY q > 50) sorts false < true, stably.
+  const Tensor t = Tensor::FromVector(std::vector<int64_t>{1, 0, 0, 1, 0})
+                       .To(DType::kBool);
+  ASSERT_EQ(t.dtype(), DType::kBool);
+  EXPECT_EQ(ArgSort(t).ToVector<int64_t>(),
+            (std::vector<int64_t>{1, 2, 4, 0, 3}));
+  EXPECT_EQ(ArgSort(t, /*descending=*/true).ToVector<int64_t>(),
+            (std::vector<int64_t>{0, 3, 1, 2, 4}));
+}
+
 TEST(OpsTest, UniqueCollapsesNansIntoOneGroup) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   Tensor t = Tensor::FromVector(std::vector<float>{1, nan, 2, nan, 1});
