@@ -165,8 +165,7 @@ void BM_GroupByQueryThreads(benchmark::State& state) {
 BENCHMARK(BM_GroupByQueryThreads)->Arg(1)->Arg(2)->Arg(4);
 
 // The streaming executor on a filter-heavy query: morsels flow through
-// the fused filter+project without materializing an intermediate
-// relation. The argument is always 1 so the entry keeps its recorded name
+// filter and project without materializing an intermediate relation. The argument is always 1 so the entry keeps its recorded name
 // (`BM_ExecutorFilterProject/1`) for the bench_compare gate.
 void BM_ExecutorFilterProject(benchmark::State& state) {
   QueryBench bench(1 << 17);

@@ -201,8 +201,8 @@ ScopedNumThreads::~ScopedNumThreads() {
   ThreadPool::SetGlobalNumThreads(saved_);
 }
 
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn) {
+void ParallelForOnPool(int64_t begin, int64_t end, int64_t grain,
+                       const std::function<void(int64_t, int64_t)>& fn) {
   // Nested calls run inline anyway; skip the Global() lookup entirely so
   // per-item nested kernels (BMM's inner matmuls) stay contention-free.
   if (in_parallel_region) {

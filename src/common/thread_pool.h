@@ -105,9 +105,23 @@ class ScopedNumThreads {
   int saved_;
 };
 
-/// Convenience wrapper: `ThreadPool::Global().ParallelFor(...)`.
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn);
+/// `ThreadPool::Global().ParallelFor(...)` behind the lock-free nested
+/// check; `ParallelFor` below is the entry point.
+void ParallelForOnPool(int64_t begin, int64_t end, int64_t grain,
+                       const std::function<void(int64_t, int64_t)>& fn);
+
+/// Convenience wrapper: `ThreadPool::Global().ParallelFor(...)`. A range of
+/// at most one grain is one shard, which runs inline on the caller anyway;
+/// it skips type-erasing `fn` into a std::function (a heap allocation for
+/// most captures) — the fixed cost of every small kernel call.
+template <typename F>
+void ParallelFor(int64_t begin, int64_t end, int64_t grain, const F& fn) {
+  if (end - begin <= std::max<int64_t>(grain, 1)) {
+    if (end > begin) fn(begin, end);
+    return;
+  }
+  ParallelForOnPool(begin, end, grain, fn);
+}
 
 /// Grain size such that each shard performs at least `min_shard_work` units
 /// of work, given that one loop index costs `per_index_cost` units. Keeps

@@ -1,5 +1,8 @@
 #include "src/exec/bound_expr.h"
 
+#include <cmath>
+#include <optional>
+
 #include "src/tensor/ops.h"
 
 namespace tdp {
@@ -13,7 +16,9 @@ using sql::UnaryOp;
 // column tensors).
 StatusOr<Tensor> ScalarToTensor(const ScalarValue& v, Device device) {
   if (v.is_int()) {
-    return Tensor::FromVector<int64_t>({v.int_value()}, {}, device);
+    Tensor t = Tensor::Empty({1}, DType::kInt64, device);
+    *t.data<int64_t>() = v.int_value();
+    return t;
   }
   if (v.is_float()) {
     return Tensor::Full({1}, v.float_value(), DType::kFloat32, device);
@@ -31,6 +36,27 @@ StatusOr<Tensor> ScalarToTensor(const ScalarValue& v, Device device) {
 // hard values, dictionary columns expose codes (comparisons only).
 Tensor NumericPayload(const Column& c) { return c.DecodeValues(); }
 
+bool IsComparison(BinaryOp op) {
+  return op == BinaryOp::kEq || op == BinaryOp::kNe || op == BinaryOp::kLt ||
+         op == BinaryOp::kLe || op == BinaryOp::kGt || op == BinaryOp::kGe;
+}
+
+// The comparison `b <op'> a` equivalent to `a <op> b`.
+BinaryOp Mirror(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt:
+      return BinaryOp::kGt;
+    case BinaryOp::kLe:
+      return BinaryOp::kGe;
+    case BinaryOp::kGt:
+      return BinaryOp::kLt;
+    case BinaryOp::kGe:
+      return BinaryOp::kLe;
+    default:
+      return op;
+  }
+}
+
 StatusOr<Column> CompareStringLiteral(const Column& column, BinaryOp op,
                                       const std::string& literal,
                                       bool literal_on_left) {
@@ -39,25 +65,7 @@ StatusOr<Column> CompareStringLiteral(const Column& column, BinaryOp op,
         "string literal compared against a non-string column");
   }
   // Normalize to <column> <op> <literal>.
-  BinaryOp norm = op;
-  if (literal_on_left) {
-    switch (op) {
-      case BinaryOp::kLt:
-        norm = BinaryOp::kGt;
-        break;
-      case BinaryOp::kLe:
-        norm = BinaryOp::kGe;
-        break;
-      case BinaryOp::kGt:
-        norm = BinaryOp::kLt;
-        break;
-      case BinaryOp::kGe:
-        norm = BinaryOp::kLe;
-        break;
-      default:
-        break;
-    }
-  }
+  const BinaryOp norm = literal_on_left ? Mirror(op) : op;
   const Tensor codes = column.data();
   const Device device = codes.device();
   auto code_scalar = [&](int64_t code) {
@@ -213,6 +221,37 @@ StatusOr<Column> TensorBinary(BinaryOp op, const Tensor& a, const Tensor& b) {
   return Status::TypeError("unknown binary operator");
 }
 
+// `<integer column> <op> d`, exact: d becomes the int64 bound that keeps
+// the same rows (ceil for < and >=, floor for <= and >), or a constant
+// mask when no int64 or every int64 satisfies the comparison. Comparing
+// through a float cast would make 2^53 + 1 equal to 2^53.
+StatusOr<Column> CompareIntegerFloat(const Tensor& values, BinaryOp op,
+                                     double d) {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  const double bound = op == BinaryOp::kLt || op == BinaryOp::kGe
+                           ? std::ceil(d)
+                           : std::floor(d);
+  std::optional<bool> constant;
+  if (std::isnan(d) ||
+      (bound != d && (op == BinaryOp::kEq || op == BinaryOp::kNe))) {
+    constant = op == BinaryOp::kNe;
+  } else if (bound >= kTwo63) {
+    constant = op == BinaryOp::kLt || op == BinaryOp::kLe ||
+               op == BinaryOp::kNe;
+  } else if (bound < -kTwo63) {
+    constant = op == BinaryOp::kGt || op == BinaryOp::kGe ||
+               op == BinaryOp::kNe;
+  }
+  if (constant.has_value()) {
+    return Column::Plain(Tensor::Full(values.shape(), *constant ? 1.0 : 0.0,
+                                      DType::kBool, values.device()));
+  }
+  TDP_ASSIGN_OR_RETURN(
+      Tensor t, ScalarToTensor(ScalarValue::Int(static_cast<int64_t>(bound)),
+                               values.device()));
+  return TensorBinary(op, values, t);
+}
+
 StatusOr<EvalResult> EvaluateBinary(const BoundBinary& expr,
                                     const Chunk& input,
                                     const EvalOptions& opts) {
@@ -267,6 +306,23 @@ StatusOr<EvalResult> EvaluateBinary(const BoundBinary& expr,
       mp[i] = expr.op == BinaryOp::kEq ? a[i] == b[i] : a[i] != b[i];
     }
     return EvalResult{false, {}, Column::Plain(std::move(mask))};
+  }
+
+  // Float constant vs integer column: exact, through an int64 bound.
+  if (IsComparison(expr.op) && lhs.is_scalar != rhs.is_scalar) {
+    const ScalarValue& lit = lhs.is_scalar ? lhs.scalar : rhs.scalar;
+    const Column& col = lhs.is_scalar ? rhs.column : lhs.column;
+    if (lit.is_float() && col.encoding() != Encoding::kDictionary) {
+      const Tensor values = NumericPayload(col);
+      if (IsInteger(values.dtype())) {
+        TDP_ASSIGN_OR_RETURN(
+            Column c,
+            CompareIntegerFloat(values,
+                                lhs.is_scalar ? Mirror(expr.op) : expr.op,
+                                lit.float_value()));
+        return EvalResult{false, {}, std::move(c)};
+      }
+    }
   }
 
   Tensor ta, tb;
@@ -503,24 +559,6 @@ StatusOr<Tensor> EvaluatePredicate(const BoundExpr& expr, const Chunk& input,
     return Status::TypeError("predicate did not evaluate to a boolean column");
   }
   return c.data();
-}
-
-StatusOr<EvalResult> EvaluateExpr(const BoundExpr& expr, const Chunk& input,
-                                  Device device,
-                                  const std::vector<ScalarValue>* params) {
-  return EvaluateExpr(expr, input, EvalOptions{device, params});
-}
-
-StatusOr<Column> EvaluateExprToColumn(const BoundExpr& expr,
-                                      const Chunk& input, Device device,
-                                      const std::vector<ScalarValue>* params) {
-  return EvaluateExprToColumn(expr, input, EvalOptions{device, params});
-}
-
-StatusOr<Tensor> EvaluatePredicate(const BoundExpr& expr, const Chunk& input,
-                                   Device device,
-                                   const std::vector<ScalarValue>* params) {
-  return EvaluatePredicate(expr, input, EvalOptions{device, params});
 }
 
 }  // namespace exec

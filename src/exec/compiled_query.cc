@@ -217,9 +217,9 @@ ExecContext CompiledQuery::MakeContext(const RunOptions& options,
     ctx.morsel_rows = kWholeRelation;
     ctx.model_batch_rows = kWholeRelation;
   }
-  // The plan-lifetime primitive cache (fused filter+project programs,
-  // reusable join build sides). Internally synchronized, so concurrent
-  // runs of one shared CompiledQuery stay safe.
+  // The plan-lifetime primitive cache (reusable join build sides, scan
+  // device transfers). Internally synchronized, so concurrent runs of
+  // one shared CompiledQuery stay safe.
   ctx.primitive_cache = primitive_cache_.get();
   return ctx;
 }

@@ -35,8 +35,17 @@ EvalOptions EvalOpts(const ExecContext& ctx);
 /// execution device.
 StatusOr<Chunk> ExecuteScan(const plan::ScanNode& node, const ExecContext& ctx);
 
+/// Keeps the rows where the predicate holds. With `pick` (a column-pick
+/// Project consuming this output, see `AsColumnPick`) only the picked
+/// columns are gathered, under the Project's names: the result equals
+/// `ExecuteProject(*pick, ExecuteFilter(node, input, ctx), ctx)`.
 StatusOr<Chunk> ExecuteFilter(const plan::FilterNode& node, const Chunk& input,
-                              const ExecContext& ctx);
+                              const ExecContext& ctx,
+                              const plan::ProjectNode* pick = nullptr);
+
+/// `node` as a Project when each of its expressions is a plain column
+/// reference (it only picks, reorders and renames columns), else null.
+const plan::ProjectNode* AsColumnPick(const plan::LogicalNode& node);
 
 StatusOr<Chunk> ExecuteProject(const plan::ProjectNode& node,
                                const Chunk& input, const ExecContext& ctx);

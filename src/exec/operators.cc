@@ -140,14 +140,36 @@ StatusOr<Chunk> ExecuteTvfScan(const TvfScanNode& node, Chunk input,
 // ---- Filter / Project -------------------------------------------------------
 
 StatusOr<Chunk> ExecuteFilter(const FilterNode& node, const Chunk& input,
-                              const ExecContext& ctx) {
+                              const ExecContext& ctx, const ProjectNode* pick) {
   TDP_ASSIGN_OR_RETURN(
       Tensor mask,
       EvaluatePredicate(*node.predicate, input, EvalOpts(ctx)));
   if (mask.numel() != input.num_rows()) {
     return Status::ExecutionError("predicate mask length mismatch");
   }
-  return input.Select(NonZero(mask));
+  const Tensor rows = NonZero(mask);
+  if (pick == nullptr) return input.Select(rows);
+  Chunk out;
+  out.names.reserve(pick->exprs.size());
+  out.columns.reserve(pick->exprs.size());
+  for (size_t i = 0; i < pick->exprs.size(); ++i) {
+    const int64_t c =
+        static_cast<const BoundColumnRef&>(*pick->exprs[i]).column_index;
+    TDP_CHECK(c >= 0 && c < input.num_columns())
+        << "bound column index out of range";
+    out.names.push_back(pick->schema[i].name);
+    out.columns.push_back(input.columns[static_cast<size_t>(c)].Select(rows));
+  }
+  return out;
+}
+
+const ProjectNode* AsColumnPick(const plan::LogicalNode& node) {
+  if (node.kind != plan::NodeKind::kProject) return nullptr;
+  const auto& project = static_cast<const ProjectNode&>(node);
+  for (const BoundExprPtr& e : project.exprs) {
+    if (e->kind != BoundExprKind::kColumnRef) return nullptr;
+  }
+  return &project;
 }
 
 StatusOr<Chunk> ExecuteProject(const ProjectNode& node, const Chunk& input,

@@ -82,8 +82,8 @@ struct ExecContext {
   /// when over budget — bit-identical results either way.
   QueryMemory* memory = nullptr;
   /// Per-plan scratch/primitive cache owned by the CompiledQuery (null for
-  /// bare kernel callers): fused filter+project programs and reusable join
-  /// build sides live here, so repeated prepared-statement runs stop
+  /// bare kernel callers): reusable join build sides and scan device
+  /// transfers live here, so repeated prepared-statement runs stop
   /// re-deriving per-run state that only depends on the plan and the
   /// (immutable) input tables. Internally synchronized; entries are keyed
   /// so every run — any device, params, or data version — stays correct.

@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "src/common/thread_pool.h"
-#include "src/exec/fused_filter_project.h"
 #include "src/exec/operator_kernels.h"
 #include "src/exec/primitive_cache.h"
 #include "src/plan/pipeline.h"
@@ -84,30 +83,14 @@ StatusOr<Chunk> ApplyOps(const Pipeline& p, Chunk morsel,
     if (stop_when_empty && morsel.num_rows() == 0) return morsel;
     switch (op->kind) {
       case NodeKind::kFilter: {
-        const auto& filter = static_cast<const plan::FilterNode&>(*op);
-        // Fused filter(+project) fast path: one pass over the morsel. The
-        // program is compiled once per plan node (PrimitiveCache, with
-        // negative caching); a per-morsel applicability miss falls through
-        // to the unfused operators, which are bit-identical.
-        if (ctx.primitive_cache != nullptr && FusedEvalEnabled()) {
-          const plan::ProjectNode* next_project =
-              i + 1 < p.ops.size() && p.ops[i + 1]->kind == NodeKind::kProject
-                  ? static_cast<const plan::ProjectNode*>(p.ops[i + 1])
-                  : nullptr;
-          FusedProgramPtr program = ctx.primitive_cache->GetFused(
-              op, [&filter, next_project] {
-                return FusedFilterProject::Compile(filter, next_project);
-              });
-          if (program != nullptr) {
-            std::optional<Chunk> fused = program->Execute(morsel, ctx);
-            if (fused.has_value()) {
-              morsel = std::move(*fused);
-              if (program->has_project()) ++i;  // consumed the Project too
-              break;
-            }
-          }
-        }
-        TDP_ASSIGN_OR_RETURN(morsel, ExecuteFilter(filter, morsel, ctx));
+        // A Project that only picks columns is folded into the filter's
+        // gather: the filter then copies just the picked columns.
+        const plan::ProjectNode* pick =
+            i + 1 < p.ops.size() ? AsColumnPick(*p.ops[i + 1]) : nullptr;
+        TDP_ASSIGN_OR_RETURN(
+            morsel, ExecuteFilter(static_cast<const plan::FilterNode&>(*op),
+                                  morsel, ctx, pick));
+        if (pick != nullptr) ++i;
         break;
       }
       case NodeKind::kProject: {

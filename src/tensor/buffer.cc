@@ -31,7 +31,7 @@ std::shared_ptr<Buffer> Buffer::Allocate(int64_t size_bytes, bool zero) {
     TDP_CHECK(data != nullptr) << "allocation of " << alloc << " bytes failed";
     if (zero) std::memset(data, 0, alloc);
   }
-  return std::shared_ptr<Buffer>(new Buffer(data, size_bytes));
+  return std::make_shared<Buffer>(Key{}, data, size_bytes);
 }
 
 Buffer::~Buffer() { std::free(data_); }

@@ -27,14 +27,20 @@ class Buffer {
   Buffer(const Buffer&) = delete;
   Buffer& operator=(const Buffer&) = delete;
 
+ private:
+  struct Key {};
+
+ public:
+  /// For `Allocate` only (the private `Key` lets it use std::make_shared,
+  /// one allocation for the buffer and its control block).
+  Buffer(Key, uint8_t* data, int64_t size_bytes)
+      : data_(data), size_bytes_(size_bytes) {}
+
   uint8_t* data() { return data_; }
   const uint8_t* data() const { return data_; }
   int64_t size_bytes() const { return size_bytes_; }
 
  private:
-  Buffer(uint8_t* data, int64_t size_bytes)
-      : data_(data), size_bytes_(size_bytes) {}
-
   uint8_t* data_;
   int64_t size_bytes_;
 };

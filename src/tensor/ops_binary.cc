@@ -1,5 +1,4 @@
 #include <cmath>
-#include <functional>
 
 #include "src/autograd/node.h"
 #include "src/common/thread_pool.h"
@@ -8,25 +7,6 @@
 #include "src/tensor/ops_internal.h"
 
 namespace tdp {
-
-namespace internal_ops {
-
-Device CommonDevice(const std::vector<Tensor>& inputs) {
-  Device device = Device::kCpu;
-  bool first = true;
-  for (const Tensor& t : inputs) {
-    if (!t.defined()) continue;
-    if (first) {
-      device = t.device();
-      first = false;
-    } else {
-      TDP_CHECK(t.device() == device) << "inputs on different devices";
-    }
-  }
-  return device;
-}
-
-}  // namespace internal_ops
 
 namespace {
 
@@ -178,89 +158,134 @@ void AccelCompareLoop(BinKind kind, const Tensor& a, const Tensor& b,
   }
 }
 
-// Reference backend: per-element dispatch through std::function on
-// `Compute` values (doubles, or int64 for integer comparisons),
-// deliberately modeling an un-accelerated interpretive engine.
-template <typename Compute>
+// Reference backend: routes every element through `Compute` values
+// (double, or int64 for integer comparisons) — the semantics the
+// accelerated loops are measured against. Rank-1
+// operands (columns and broadcast scalars) index by one stride each;
+// higher ranks walk an odometer.
+template <typename Compute, typename T, typename OutT, typename F>
 void ReferenceLoop(const Tensor& a, const Tensor& b, Tensor& out,
-                   const std::vector<int64_t>& out_shape,
-                   const std::function<double(Compute, Compute)>& f) {
+                   const std::vector<int64_t>& out_shape, F f) {
+  OutT* op = out.data<OutT>();
+  const T* ap = a.data<T>();
+  const T* bp = b.data<T>();
   const int64_t n = out.numel();
   const std::vector<std::vector<int64_t>> strides = {
       BroadcastStrides(a.shape(), a.strides(), out_shape),
       BroadcastStrides(b.shape(), b.strides(), out_shape)};
-  TDP_DISPATCH_ALL(out.dtype(), {
-    using out_t = scalar_t;
-    out_t* op = out.data<out_t>();
-    TDP_DISPATCH_ALL(a.dtype(), {
-      const scalar_t* ap = a.data<scalar_t>();
-      const scalar_t* bp = b.data<scalar_t>();
-      ParallelFor(0, n, GrainForCost(4),
-                  [op, ap, bp, &f, &out_shape, &strides](
-                      int64_t shard_begin, int64_t shard_end) {
-                    OffsetIterator it(out_shape, strides);
-                    it.Seek(shard_begin);
-                    for (int64_t i = shard_begin; i < shard_end;
-                         ++i, it.Next()) {
-                      op[i] = static_cast<out_t>(
-                          f(static_cast<Compute>(ap[it.offset(0)]),
-                            static_cast<Compute>(bp[it.offset(1)])));
-                    }
-                  });
-    });
-  });
+  if (out_shape.size() == 1) {
+    const int64_t sa = strides[0][0];
+    const int64_t sb = strides[1][0];
+    ParallelFor(0, n, GrainForCost(4),
+                [op, ap, bp, sa, sb, f](int64_t shard_begin,
+                                        int64_t shard_end) {
+                  for (int64_t i = shard_begin; i < shard_end; ++i) {
+                    op[i] = static_cast<OutT>(
+                        f(static_cast<Compute>(ap[i * sa]),
+                          static_cast<Compute>(bp[i * sb])));
+                  }
+                });
+    return;
+  }
+  ParallelFor(0, n, GrainForCost(4),
+              [op, ap, bp, f, &out_shape, &strides](int64_t shard_begin,
+                                                    int64_t shard_end) {
+                OffsetIterator it(out_shape, strides);
+                it.Seek(shard_begin);
+                for (int64_t i = shard_begin; i < shard_end; ++i, it.Next()) {
+                  op[i] = static_cast<OutT>(
+                      f(static_cast<Compute>(ap[it.offset(0)]),
+                        static_cast<Compute>(bp[it.offset(1)])));
+                }
+              });
 }
 
-/// Reference comparison on `Compute` values: 1.0 when it holds.
-template <typename Compute>
-std::function<double(Compute, Compute)> ReferenceCompareFn(BinKind kind) {
+// Dispatches `f` over the operands' dtype: bool outputs (comparisons and
+// logical ops) take any input dtype, arithmetic writes its compute dtype.
+template <typename Compute, typename F>
+void ReferenceApply(const Tensor& a, const Tensor& b, Tensor& out,
+                    const std::vector<int64_t>& out_shape, F f) {
+  if (out.dtype() == DType::kBool) {
+    TDP_DISPATCH_ALL(a.dtype(), {
+      ReferenceLoop<Compute, scalar_t, bool>(a, b, out, out_shape, f);
+    });
+  } else {
+    TDP_DISPATCH_NUMERIC(a.dtype(), {
+      ReferenceLoop<Compute, scalar_t, scalar_t>(a, b, out, out_shape, f);
+    });
+  }
+}
+
+template <typename C>
+void ReferenceCompare(BinKind kind, const Tensor& a, const Tensor& b,
+                      Tensor& out, const std::vector<int64_t>& out_shape) {
   switch (kind) {
     case BinKind::kEq:
-      return [](Compute a, Compute b) { return a == b ? 1.0 : 0.0; };
+      return ReferenceApply<C>(a, b, out, out_shape,
+                               [](C x, C y) { return x == y; });
     case BinKind::kNe:
-      return [](Compute a, Compute b) { return a != b ? 1.0 : 0.0; };
+      return ReferenceApply<C>(a, b, out, out_shape,
+                               [](C x, C y) { return x != y; });
     case BinKind::kLt:
-      return [](Compute a, Compute b) { return a < b ? 1.0 : 0.0; };
+      return ReferenceApply<C>(a, b, out, out_shape,
+                               [](C x, C y) { return x < y; });
     case BinKind::kLe:
-      return [](Compute a, Compute b) { return a <= b ? 1.0 : 0.0; };
+      return ReferenceApply<C>(a, b, out, out_shape,
+                               [](C x, C y) { return x <= y; });
     case BinKind::kGt:
-      return [](Compute a, Compute b) { return a > b ? 1.0 : 0.0; };
+      return ReferenceApply<C>(a, b, out, out_shape,
+                               [](C x, C y) { return x > y; });
     case BinKind::kGe:
-      return [](Compute a, Compute b) { return a >= b ? 1.0 : 0.0; };
+      return ReferenceApply<C>(a, b, out, out_shape,
+                               [](C x, C y) { return x >= y; });
     default:
-      break;
+      TDP_LOG(Fatal) << "not a comparison kind";
   }
-  TDP_LOG(Fatal) << "not a comparison kind";
-  return nullptr;
 }
 
-std::function<double(double, double)> ReferenceFn(BinKind kind) {
+void ReferenceEval(BinKind kind, const Tensor& a, const Tensor& b, Tensor& out,
+                   const std::vector<int64_t>& out_shape) {
+  using D = double;
   switch (kind) {
     case BinKind::kAdd:
-      return [](double a, double b) { return a + b; };
+      return ReferenceApply<D>(a, b, out, out_shape,
+                               [](D x, D y) { return x + y; });
     case BinKind::kSub:
-      return [](double a, double b) { return a - b; };
+      return ReferenceApply<D>(a, b, out, out_shape,
+                               [](D x, D y) { return x - y; });
     case BinKind::kMul:
-      return [](double a, double b) { return a * b; };
+      return ReferenceApply<D>(a, b, out, out_shape,
+                               [](D x, D y) { return x * y; });
     case BinKind::kDiv:
-      return [](double a, double b) { return a / b; };
+      return ReferenceApply<D>(a, b, out, out_shape,
+                               [](D x, D y) { return x / y; });
     case BinKind::kMax:
-      return [](double a, double b) { return a >= b ? a : b; };
+      return ReferenceApply<D>(a, b, out, out_shape,
+                               [](D x, D y) { return x >= y ? x : y; });
     case BinKind::kMin:
-      return [](double a, double b) { return a <= b ? a : b; };
+      return ReferenceApply<D>(a, b, out, out_shape,
+                               [](D x, D y) { return x <= y ? x : y; });
     case BinKind::kAnd:
-      return [](double a, double b) { return (a != 0 && b != 0) ? 1.0 : 0.0; };
+      return ReferenceApply<D>(a, b, out, out_shape,
+                               [](D x, D y) { return x != 0 && y != 0; });
     case BinKind::kOr:
-      return [](double a, double b) { return (a != 0 || b != 0) ? 1.0 : 0.0; };
+      return ReferenceApply<D>(a, b, out, out_shape,
+                               [](D x, D y) { return x != 0 || y != 0; });
     default:
-      return ReferenceCompareFn<double>(kind);
+      // Two integer operands compare as int64: through doubles 2^53 and
+      // 2^53+1 would be equal.
+      if (IsFloatingPoint(a.dtype())) {
+        return ReferenceCompare<D>(kind, a, b, out, out_shape);
+      }
+      return ReferenceCompare<int64_t>(kind, a, b, out, out_shape);
   }
 }
 
 // Computes the raw (no autograd) result of a binary op.
 Tensor BinaryEval(BinKind kind, const Tensor& a0, const Tensor& b0) {
   TDP_CHECK(a0.defined() && b0.defined());
-  const Device device = internal_ops::CommonDevice({a0, b0});
+  TDP_CHECK(a0.device() == b0.device()) << "inputs on different devices";
+  const Device device = a0.device();
   const std::vector<int64_t> out_shape =
       BroadcastShapes(a0.shape(), b0.shape());
 
@@ -286,14 +311,7 @@ Tensor BinaryEval(BinKind kind, const Tensor& a0, const Tensor& b0) {
   Tensor out = Tensor::Empty(out_shape, out_dtype, device);
 
   if (device == Device::kCpu) {
-    // Two integer operands compare as int64: through doubles 2^53 and
-    // 2^53+1 would be equal.
-    if (IsComparison(kind) && !IsFloatingPoint(compute_dtype)) {
-      ReferenceLoop<int64_t>(a, b, out, out_shape,
-                             ReferenceCompareFn<int64_t>(kind));
-    } else {
-      ReferenceLoop<double>(a, b, out, out_shape, ReferenceFn(kind));
-    }
+    ReferenceEval(kind, a, b, out, out_shape);
     return out;
   }
 

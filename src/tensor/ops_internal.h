@@ -85,9 +85,6 @@ class OffsetIterator {
   std::vector<int64_t> offsets_;
 };
 
-/// Checks all defined inputs share one device and returns it.
-Device CommonDevice(const std::vector<Tensor>& inputs);
-
 /// Normalizes a possibly-negative dim.
 inline int64_t NormalizeDim(int64_t dim, int64_t rank) {
   if (dim < 0) dim += rank;

@@ -510,6 +510,42 @@ TEST(ExactKeyTest, IntAgainstFloatJoinKeys) {
   }
 }
 
+// WHERE compares an int64 column with float constants exactly: through a
+// float cast, 2^24 + 1 rounds onto 2^24 (float32), 2^53 + 1 onto 2^53.
+TEST(ExactKeyTest, IntAgainstFloatWhereConstants) {
+  Engines engines;
+  constexpr int64_t kTwo24 = int64_t{1} << 24;
+  TwinTable("l")
+      .Ints("k", {kTwo53, kTwo53 + 1, kTwo24, kTwo24 + 1, -7,
+                  std::numeric_limits<int64_t>::max(),
+                  std::numeric_limits<int64_t>::min()})
+      .Register(engines, "l");
+  const std::vector<std::pair<std::string, int64_t>> cases = {
+      {"k = 9007199254740992.0", 1},
+      {"k > 9007199254740992.0", 2},
+      {"k = 16777217.0", 1},
+      {"k < 16777217.5", 4},
+      {"16777216.5 >= k", 3},
+      {"k <= -7.5", 1},
+      {"k <> -7.0", 6},
+      {"k = 2.5", 0},
+      {"k <> 2.5", 7},
+      {"k < 9223372036854775808.0", 7},
+      {"k = 9223372036854775808.0", 0},
+      {"k > -9223372036854775808.0", 6},
+  };
+  for (const KeyPath& path : KeyPaths()) {
+    SCOPED_TRACE(path.label);
+    const exec::RunOptions run = BudgetRun(path.budget);
+    for (const auto& [predicate, rows] : cases) {
+      EXPECT_EQ(ExpectAgree(engines, "SELECT k FROM l WHERE " + predicate,
+                            path.device, run),
+                rows)
+          << predicate;
+    }
+  }
+}
+
 // ---- Adversarial key generator ----------------------------------------------
 
 // Draws keys from the edges of every key type: 2^53 neighbours and the

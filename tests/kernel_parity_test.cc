@@ -1,5 +1,5 @@
-// Kernel-correctness and primitive-cache regression suite for the layout /
-// fused-evaluation overhaul:
+// Kernel-correctness, expression-evaluation and primitive-cache regression
+// suite:
 //
 //   - IEEE non-finite propagation: the accelerated matmul/conv kernels used
 //     to skip zero multiplicands, silently turning `0 * inf` (NaN under
@@ -10,11 +10,12 @@
 //     `Tensor::RowMajor()` must make kernels over views bit-identical to
 //     the same kernels over eager contiguous copies, per backend, across
 //     thread counts.
-//   - Fused filter+project: with the fusion knob on vs off, every
-//     (thread count, morsel size) combination must be
-//     bit-identical — including the runtime-fallback cases (parameters,
-//     unfusable projections, bool columns, dictionary predicates with
-//     absent literals, literal-on-the-left comparisons).
+//   - Filter/Project parity: on each device, every (thread count, morsel
+//     size) combination must be bit-identical to the whole-relation run —
+//     over numeric, dictionary, parameter and degenerate predicates, and
+//     the filter whose gather a column-pick Project narrows.
+//   - Exact compares: int64 columns against int and float constants keep
+//     every bit on both backends (no rounding through float).
 //   - Per-plan primitive cache: repeated runs of one CompiledQuery reuse
 //     the join build side (hit/miss stats), invalidate on table change
 //     (re-register and DML UPDATE), and never cache a parameter-bearing
@@ -37,7 +38,6 @@
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/exec/bound_expr.h"
-#include "src/exec/fused_filter_project.h"
 #include "src/exec/primitive_cache.h"
 #include "src/runtime/session.h"
 #include "src/tensor/buffer.h"
@@ -328,45 +328,59 @@ TEST(ExactCompareTest, FullWidthInt64OnBothBackends) {
                    .Build();
   ASSERT_TRUE(table.ok());
   ASSERT_TRUE(session.RegisterTable("t", table.value()).ok());
-  const auto rows_of = [&](const std::string& sql, Device device) {
+  const auto rows_of = [&](const std::string& sql, Device device,
+                           std::vector<exec::ScalarValue> params = {}) {
     QueryOptions options;
     options.device = device;
-    auto result = session.Sql(sql, options);
+    exec::RunOptions run;
+    run.params = std::move(params);
+    auto result = session.Sql(sql, options, run);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
     return result.ok() ? (*result)->column(0).data().ToVector<int64_t>()
                        : std::vector<int64_t>{};
   };
-  for (const bool fused : {false, true}) {
-    const bool saved = exec::SetFusedEvalEnabled(fused);
-    for (Device device : kDevices) {
-      SCOPED_TRACE(std::string(device == Device::kCpu ? "cpu" : "accel") +
-                   (fused ? " fused" : " unfused"));
-      EXPECT_EQ(rows_of("SELECT k FROM t WHERE k = 9007199254740993", device),
-                (std::vector<int64_t>{two53 + 1}));
-      EXPECT_EQ(rows_of("SELECT k FROM t WHERE k > 9007199254740992", device),
-                (std::vector<int64_t>{two53 + 1, kInt64Max, kInt64Max - 1}));
-      EXPECT_EQ(rows_of("SELECT k FROM t WHERE k = 9223372036854775807",
-                        device),
-                (std::vector<int64_t>{kInt64Max}));
-    }
-    exec::SetFusedEvalEnabled(saved);
+  for (Device device : kDevices) {
+    SCOPED_TRACE(device == Device::kCpu ? "cpu" : "accel");
+    EXPECT_EQ(rows_of("SELECT k FROM t WHERE k = 9007199254740993", device),
+              (std::vector<int64_t>{two53 + 1}));
+    EXPECT_EQ(rows_of("SELECT k FROM t WHERE k > 9007199254740992", device),
+              (std::vector<int64_t>{two53 + 1, kInt64Max, kInt64Max - 1}));
+    EXPECT_EQ(rows_of("SELECT k FROM t WHERE k = 9223372036854775807", device),
+              (std::vector<int64_t>{kInt64Max}));
+    // Float constants: 2^53 + 1 must not round onto 2^53, and 2^63 (just
+    // past INT64_MAX) is above every row.
+    EXPECT_EQ(rows_of("SELECT k FROM t WHERE k = 9007199254740992.0", device),
+              (std::vector<int64_t>{two53}));
+    EXPECT_EQ(rows_of("SELECT k FROM t WHERE k > 9007199254740992.0 AND "
+                      "k < 9007199254740994.0",
+                      device),
+              (std::vector<int64_t>{two53 + 1}));
+    EXPECT_EQ(rows_of("SELECT k FROM t WHERE k <= 9007199254740992.0", device),
+              (std::vector<int64_t>{two53}));
+    EXPECT_EQ(rows_of("SELECT k FROM t WHERE 9007199254740992.0 < k", device),
+              (std::vector<int64_t>{two53 + 1, kInt64Max, kInt64Max - 1}));
+    EXPECT_EQ(rows_of("SELECT k FROM t WHERE k = 0.5", device),
+              (std::vector<int64_t>{}));
+    EXPECT_EQ(rows_of("SELECT k FROM t WHERE k < 9223372036854775808.0",
+                      device),
+              (std::vector<int64_t>{two53, two53 + 1, kInt64Max,
+                                    kInt64Max - 1}));
+    EXPECT_EQ(rows_of("SELECT k FROM t WHERE k >= 9223372036854775808.0",
+                      device),
+              (std::vector<int64_t>{}));
+    // A float parameter lowers like a float literal.
+    const exec::ScalarValue two53f = exec::ScalarValue::Float(0x1p53);
+    EXPECT_EQ(rows_of("SELECT k FROM t WHERE k = ?", device, {two53f}),
+              (std::vector<int64_t>{two53}));
+    EXPECT_EQ(rows_of("SELECT k FROM t WHERE ? < k", device, {two53f}),
+              (std::vector<int64_t>{two53 + 1, kInt64Max, kInt64Max - 1}));
   }
 }
 
-// ---- Fused filter+project parity ------------------------------------------
+// ---- Filter/Project parity ------------------------------------------------
 
-/// Flips the process-wide fusion knob for one scope.
-class ScopedFusedEval {
- public:
-  explicit ScopedFusedEval(bool enabled)
-      : saved_(exec::SetFusedEvalEnabled(enabled)) {}
-  ~ScopedFusedEval() { exec::SetFusedEvalEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
-class FusedParityTest : public ::testing::Test {
+/// Tables and run helpers shared by the parity and primitive-cache suites.
+class QueryFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     Rng rng(4321);
@@ -412,125 +426,168 @@ class FusedParityTest : public ::testing::Test {
   }
 
   StatusOr<std::shared_ptr<exec::CompiledQuery>> Compile(
-      const std::string& sql) {
+      const std::string& sql, Device device = Device::kAccel) {
     QueryOptions options;
+    options.device = device;
     options.use_plan_cache = false;
     return session_.Query(sql, options);
   }
 
   StatusOr<std::shared_ptr<Table>> RunWith(
       const std::string& sql, int64_t morsel_rows,
-      const std::vector<exec::ScalarValue>& params = {}) {
+      const std::vector<exec::ScalarValue>& params = {},
+      Device device = Device::kAccel) {
     exec::RunOptions run;
     run.params = params;
     run.morsel_rows = morsel_rows;
-    TDP_ASSIGN_OR_RETURN(auto query, Compile(sql));
+    TDP_ASSIGN_OR_RETURN(auto query, Compile(sql, device));
     return query->Run(run);
   }
 
-  /// The core oracle: results with fusion ON must be bit-identical to
-  /// results with fusion OFF, across thread counts and morsel sizes. The
-  /// OFF whole-relation-morsel run is the reference.
-  void ExpectFusedParity(const std::string& sql,
-                         const std::vector<exec::ScalarValue>& params = {}) {
+  Session session_;
+};
+
+class FilterProjectParityTest : public QueryFixture {
+ protected:
+  /// The oracle: on each device, every (thread count, morsel size) run is
+  /// bit-identical to that device's whole-relation-morsel run.
+  void ExpectParity(const std::string& sql,
+                    const std::vector<exec::ScalarValue>& params = {}) {
     SCOPED_TRACE(sql);
-    StatusOr<std::shared_ptr<Table>> reference(nullptr);
-    {
-      ScopedFusedEval off(false);
-      reference = RunWith(sql, kWholeRelation, params);
-    }
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (const bool fused : {false, true}) {
-      ScopedFusedEval knob(fused);
+    for (Device device : kDevices) {
+      auto reference = RunWith(sql, kWholeRelation, params, device);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
       for (int threads : kThreadCounts) {
         ScopedNumThreads guard(threads);
         for (int64_t morsel : kMorselSizes) {
-          SCOPED_TRACE(std::string("fused=") + (fused ? "on" : "off") +
+          SCOPED_TRACE(std::string(device == Device::kCpu ? "cpu" : "accel") +
                        " threads=" + std::to_string(threads) +
                        " morsel=" + std::to_string(morsel));
-          auto got = RunWith(sql, morsel, params);
+          auto got = RunWith(sql, morsel, params, device);
           ASSERT_TRUE(got.ok()) << got.status().ToString();
           testutil::ExpectTablesBitIdentical(**reference, **got);
         }
       }
     }
   }
-
-  Session session_;
 };
 
-TEST_F(FusedParityTest, NumericComparisonsAndProjections) {
-  ExpectFusedParity("SELECT k, v FROM big WHERE v > 0");
-  ExpectFusedParity("SELECT k + 1, v * 2 FROM big WHERE k < 32 AND v <= 10");
-  ExpectFusedParity("SELECT v - 3.5, k * 2 FROM big WHERE v >= -50 AND k > 5");
+class PrimitiveCacheTest : public QueryFixture {};
+
+TEST_F(FilterProjectParityTest, NumericComparisonsAndProjections) {
+  ExpectParity("SELECT k, v FROM big WHERE v > 0");
+  ExpectParity("SELECT k + 1, v * 2 FROM big WHERE k < 32 AND v <= 10");
+  ExpectParity("SELECT v - 3.5, k * 2 FROM big WHERE v >= -50 AND k > 5");
   // float32 column compared/combined with int and float literals (the
   // promoted compute dtype differs per leaf).
-  ExpectFusedParity("SELECT f + 1, f * 0.5 FROM big WHERE f < 4");
-  ExpectFusedParity("SELECT k FROM big WHERE f > 2.5 AND k <= 40");
+  ExpectParity("SELECT f + 1, f * 0.5 FROM big WHERE f < 4");
+  ExpectParity("SELECT k FROM big WHERE f > 2.5 AND k <= 40");
 }
 
-TEST_F(FusedParityTest, LiteralOnTheLeft) {
+TEST_F(FilterProjectParityTest, LiteralOnTheLeft) {
   // Mirrored comparisons and non-commutative arithmetic with the literal
-  // on the left — the fused compiler must normalize, not reject.
-  ExpectFusedParity("SELECT k FROM big WHERE 10 > k AND 3 < k");
-  ExpectFusedParity("SELECT 100 - k, 2 * v FROM big WHERE 0 <= v");
-  ExpectFusedParity("SELECT 1 + k FROM big WHERE 32 >= k");
+  // on the left.
+  ExpectParity("SELECT k FROM big WHERE 10 > k AND 3 < k");
+  ExpectParity("SELECT 100 - k, 2 * v FROM big WHERE 0 <= v");
+  ExpectParity("SELECT 1 + k FROM big WHERE 32 >= k");
 }
 
-TEST_F(FusedParityTest, DictionaryPredicates) {
-  ExpectFusedParity("SELECT tag, k FROM big WHERE tag >= 'beta'");
-  ExpectFusedParity("SELECT k FROM big WHERE tag = 'omega'");
+TEST_F(FilterProjectParityTest, DictionaryPredicates) {
+  ExpectParity("SELECT tag, k FROM big WHERE tag >= 'beta'");
+  ExpectParity("SELECT k FROM big WHERE tag = 'omega'");
   // Absent literals: constant-false / constant-true lowerings.
-  ExpectFusedParity("SELECT k FROM big WHERE tag = 'zzz'");
-  ExpectFusedParity("SELECT k FROM big WHERE tag <> 'zzz'");
-  ExpectFusedParity("SELECT k FROM big WHERE tag < 'aardvark'");
+  ExpectParity("SELECT k FROM big WHERE tag = 'zzz'");
+  ExpectParity("SELECT k FROM big WHERE tag <> 'zzz'");
+  ExpectParity("SELECT k FROM big WHERE tag < 'aardvark'");
   // Literal on the left over dictionary codes.
-  ExpectFusedParity("SELECT tag FROM big WHERE 'beta' <= tag");
+  ExpectParity("SELECT tag FROM big WHERE 'beta' <= tag");
   // Mixed string + numeric conjunction.
-  ExpectFusedParity("SELECT k, v FROM big WHERE tag > 'beta' AND v > 0");
+  ExpectParity("SELECT k, v FROM big WHERE tag > 'beta' AND v > 0");
 }
 
-TEST_F(FusedParityTest, RuntimeFallbackCases) {
-  // Parameters resolve per run; the fused program must bind them from the
-  // run's bindings, and identical results must come out either way.
-  ExpectFusedParity("SELECT k, v FROM big WHERE v > ? AND k < ?",
-                    {exec::ScalarValue::Float(0.0), exec::ScalarValue::Int(40)});
-  // Division is not a fusable projection op -> filter-only fusion with the
-  // projection falling back to the unfused evaluator.
-  ExpectFusedParity("SELECT v / 2, k FROM big WHERE v > 0");
-  // A bare bool-column predicate is not a comparison conjunct.
-  ExpectFusedParity("SELECT k FROM big WHERE flag");
-  // Column-vs-column comparisons are not literal leaves.
-  ExpectFusedParity("SELECT k FROM big WHERE v > f");
-  // OR trees are not conjunctions.
-  ExpectFusedParity("SELECT k FROM big WHERE k < 5 OR v > 90");
+TEST_F(FilterProjectParityTest, ParametersAndGeneralExpressions) {
+  // Parameters resolve per run from the run's bindings.
+  ExpectParity("SELECT k, v FROM big WHERE v > ? AND k < ?",
+               {exec::ScalarValue::Float(0.0), exec::ScalarValue::Int(40)});
+  ExpectParity("SELECT v / 2, k FROM big WHERE v > 0");
+  ExpectParity("SELECT k FROM big WHERE flag");
+  ExpectParity("SELECT k FROM big WHERE v > f");
+  ExpectParity("SELECT k FROM big WHERE k < 5 OR v > 90");
 }
 
-TEST_F(FusedParityTest, DegenerateShapes) {
-  ExpectFusedParity("SELECT k + 1 FROM empty_t WHERE v > 0");
+TEST_F(FilterProjectParityTest, DegenerateShapes) {
+  ExpectParity("SELECT k + 1 FROM empty_t WHERE v > 0");
   // Predicate selecting nothing / everything.
-  ExpectFusedParity("SELECT k, v FROM big WHERE v > 1000");
-  ExpectFusedParity("SELECT k, v FROM big WHERE v >= -1000");
+  ExpectParity("SELECT k, v FROM big WHERE v > 1000");
+  ExpectParity("SELECT k, v FROM big WHERE v >= -1000");
 }
 
-TEST_F(FusedParityTest, FusedProgramCompiledOncePerPlan) {
-  auto query = Compile("SELECT k + 1 FROM big WHERE k < 32 AND v > 0");
-  ASSERT_TRUE(query.ok()) << query.status().ToString();
-  exec::RunOptions run;
-  ASSERT_TRUE((*query)->Run(run).ok());
-  const int64_t compiles = (*query)->primitive_cache().fused_compiles();
-  EXPECT_GE(compiles, 1);
-  // Re-runs (any morsel size) reuse the cached program — structural
-  // analysis happens exactly once per plan node.
-  ASSERT_TRUE((*query)->Run(run).ok());
-  run.morsel_rows = 7;
-  ASSERT_TRUE((*query)->Run(run).ok());
-  EXPECT_EQ((*query)->primitive_cache().fused_compiles(), compiles);
+// ---- Column-pick Project folded into the filter's gather ------------------
+
+// `SELECT <columns> FROM t WHERE id = ?`: the Project only picks columns,
+// so the filter gathers just those, under the Project's names and order.
+TEST_F(FilterProjectParityTest, PointLookupGathersOnlyPickedColumns) {
+  std::vector<int64_t> ids;
+  std::vector<int64_t> same;
+  std::vector<double> amounts;
+  std::vector<int64_t> qtys;
+  std::vector<std::string> tags;
+  for (int64_t i = 0; i < 300; ++i) {
+    ids.push_back(i);
+    same.push_back(7);
+    amounts.push_back(0.5 * static_cast<double>(i));
+    qtys.push_back(i % 11);
+    tags.push_back(i % 2 == 0 ? "even" : "odd");
+  }
+  Register("pts", TableBuilder("pts")
+                      .AddInt64("id", ids)
+                      .AddInt64("same", same)
+                      .AddFloat64("amount", amounts)
+                      .AddInt64("qty", qtys)
+                      .AddStrings("tag", tags));
+  const std::string point = "SELECT amount, qty FROM pts WHERE id = ?";
+  const std::string renamed =
+      "SELECT qty AS q, tag, amount, qty FROM pts WHERE same = ?";
+  for (Device device : kDevices) {
+    SCOPED_TRACE(device == Device::kCpu ? "cpu" : "accel");
+    auto none = RunWith(point, kWholeRelation, {exec::ScalarValue::Int(-1)},
+                        device);
+    ASSERT_TRUE(none.ok()) << none.status().ToString();
+    EXPECT_EQ((*none)->num_rows(), 0);
+    EXPECT_EQ((*none)->column_names(),
+              (std::vector<std::string>{"amount", "qty"}));
+
+    auto one = RunWith(point, kWholeRelation, {exec::ScalarValue::Int(123)},
+                       device);
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    EXPECT_EQ((*one)->column_names(),
+              (std::vector<std::string>{"amount", "qty"}));
+    EXPECT_EQ((*one)->column(0).data().ToVector<double>(),
+              (std::vector<double>{61.5}));
+    EXPECT_EQ((*one)->column(1).data().ToVector<int64_t>(),
+              (std::vector<int64_t>{2}));
+
+    auto all = RunWith(renamed, kWholeRelation, {exec::ScalarValue::Int(7)},
+                       device);
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    EXPECT_EQ((*all)->column_names(),
+              (std::vector<std::string>{"q", "tag", "amount", "qty"}));
+    EXPECT_EQ((*all)->column(0).data().ToVector<int64_t>(), qtys);
+    EXPECT_EQ((*all)->column(1).DecodeStrings(), tags);
+    EXPECT_EQ((*all)->column(2).data().ToVector<double>(), amounts);
+    EXPECT_EQ((*all)->column(3).data().ToVector<int64_t>(), qtys);
+  }
+  for (const int64_t id : {int64_t{-1}, int64_t{0}, int64_t{299}}) {
+    ExpectParity(point, {exec::ScalarValue::Int(id)});
+  }
+  ExpectParity(renamed, {exec::ScalarValue::Int(7)});
+  ExpectParity("SELECT v, k FROM empty_t WHERE k = ?",
+               {exec::ScalarValue::Int(1)});
 }
 
 // ---- Join build-side reuse ------------------------------------------------
 
-TEST_F(FusedParityTest, JoinBuildReusedAcrossRunsAndMorselSizes) {
+TEST_F(PrimitiveCacheTest, JoinBuildReusedAcrossRunsAndMorselSizes) {
   // `r` is far smaller than `big`, so the planner builds on it; the build
   // subtree is a bare cacheable scan.
   auto query = Compile("SELECT big.k, r.w FROM big JOIN r ON big.k = r.kr "
@@ -561,7 +618,7 @@ TEST_F(FusedParityTest, JoinBuildReusedAcrossRunsAndMorselSizes) {
   testutil::ExpectTablesBitIdentical(**first, **whole);
 }
 
-TEST_F(FusedParityTest, JoinCacheInvalidatedByReRegisteredTable) {
+TEST_F(PrimitiveCacheTest, JoinCacheInvalidatedByReRegisteredTable) {
   auto query =
       Compile("SELECT big.k, r.w FROM big JOIN r ON big.k = r.kr");
   ASSERT_TRUE(query.ok()) << query.status().ToString();
@@ -589,7 +646,7 @@ TEST_F(FusedParityTest, JoinCacheInvalidatedByReRegisteredTable) {
   testutil::ExpectTablesBitIdentical(**fresh, **rebuilt);
 }
 
-TEST_F(FusedParityTest, JoinCacheInvalidatedByDml) {
+TEST_F(PrimitiveCacheTest, JoinCacheInvalidatedByDml) {
   ASSERT_TRUE(session_.Sql("CREATE TABLE jt (kr BIGINT, w DOUBLE)").ok());
   ASSERT_TRUE(
       session_.Sql("INSERT INTO jt VALUES (1, 5.0), (2, 6.0), (3, 7.0)")
@@ -615,7 +672,7 @@ TEST_F(FusedParityTest, JoinCacheInvalidatedByDml) {
   testutil::ExpectTablesBitIdentical(**fresh, **updated);
 }
 
-TEST_F(FusedParityTest, ParamBearingBuildSideNeverCached) {
+TEST_F(PrimitiveCacheTest, ParamBearingBuildSideNeverCached) {
   // The build subtree contains a `?` filter, so its result changes with
   // the bindings: the cache must not even attempt a lookup.
   auto query = Compile(
@@ -641,7 +698,7 @@ TEST_F(FusedParityTest, ParamBearingBuildSideNeverCached) {
   EXPECT_NE((*low)->num_rows(), (*high)->num_rows());
 }
 
-TEST_F(FusedParityTest, ScanTransferCachedAcrossRunsAndMorselSizes) {
+TEST_F(PrimitiveCacheTest, ScanTransferCachedAcrossRunsAndMorselSizes) {
   // Tables register on the CPU device and the session compiles for the
   // accel device, so every scan needs a device transfer; repeated runs
   // must reuse the moved columns instead of re-copying the table.
@@ -672,7 +729,7 @@ TEST_F(FusedParityTest, ScanTransferCachedAcrossRunsAndMorselSizes) {
   testutil::ExpectTablesBitIdentical(**first, **whole);
 }
 
-TEST_F(FusedParityTest, ScanCacheInvalidatedByReRegisteredTable) {
+TEST_F(PrimitiveCacheTest, ScanCacheInvalidatedByReRegisteredTable) {
   auto query = Compile("SELECT kr, w FROM r WHERE w > 10");
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   const exec::PrimitiveCache& pc = (*query)->primitive_cache();

@@ -66,8 +66,8 @@ inline Tensor MakeUnitQuery(int64_t dim, Rng& rng) {
 
 /// Asserts `a` and `b` are bit-identical column for column — names,
 /// encodings, data, dictionaries and PE domains. The shared oracle of the
-/// differential suites (index vs brute force, morsel sizes, fused vs
-/// unfused evaluation).
+/// differential suites (index vs brute force, morsel sizes, thread
+/// counts).
 inline void ExpectTablesBitIdentical(const Table& a, const Table& b,
                                      const std::string& what = "") {
   ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
